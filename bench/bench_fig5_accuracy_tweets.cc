@@ -91,7 +91,7 @@ void Run(obs::Registry* registry) {
 
   // --- sPCA-MapReduce (cold start) and sPCA-SG.
   struct SpcaRun {
-    core::SpcaResult result;
+    core::SolveResult result;
     std::vector<dist::JobTrace> jobs;
   };
   auto run_spca = [&](bool smart_guess) {

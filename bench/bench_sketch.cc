@@ -37,13 +37,14 @@
 
 #include "bench_util.h"
 #include "core/reconstruction_error.h"
+#include "core/spca.h"
+#include "linalg/kernel_dispatch.h"
 #include "obs/export.h"
 #include "obs/json.h"
 #include "obs/registry.h"
 #include "obs/trace_report.h"
 #include "serve/projector.h"
 #include "sketch/rand_svd.h"
-#include "sketch/sparse_ppca.h"
 #include "sketch/sparsifier.h"
 #include "workload/synthetic.h"
 
@@ -337,15 +338,16 @@ int Main(int argc, char** argv) {
   {
     spca::dist::Engine engine(spca::bench::PaperSpec(),
                               spca::dist::EngineMode::kSpark, &registry);
-    spca::sketch::SparsePpcaOptions sparse_options;
+    spca::core::SpcaOptions sparse_options;
     sparse_options.num_components = d_b;
     sparse_options.max_iterations = options.iterations;
     sparse_options.l1_threshold = options.l1_threshold;
     sparse_options.target_accuracy_fraction = 2.0;
+    sparse_options.error_sample_rows = 1000;
     sparse_options.ideal_error_override = ideal_b;
     sparse_options.seed = options.seed;
     auto result =
-        spca::sketch::SparsePpca(&engine, sparse_options).Solve(matrix_b);
+        spca::core::Spca(&engine, sparse_options).Solve(matrix_b);
     SketchRun run = FromResult("spca_sparse", result, matrix_b, sample_b,
                                d_b, ideal_b);
     if (result.ok()) AttachServingCost(&run, result.value().model);
@@ -471,7 +473,10 @@ int Main(int argc, char** argv) {
     std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
     return 1;
   }
-  std::printf("\nwrote %s\n", options.out.c_str());
+  // The JSON is sim-time deterministic, but accuracy goes through the
+  // dispatched kernels: name them so a byte mismatch can be attributed.
+  std::printf("\nwrote %s (kernel ISA %s)\n", options.out.c_str(),
+              spca::linalg::kernels::DispatchedIsaName());
   if (!options.trace_out.empty()) {
     const spca::Status trace_status = spca::obs::WriteFile(
         options.trace_out, spca::obs::ChromeTraceJson(registry));

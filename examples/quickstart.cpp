@@ -7,7 +7,7 @@
 // The workflow is the library's canonical one:
 //   1. wrap your data in a dist::DistMatrix (row-partitioned),
 //   2. create a dist::Engine (the simulated Spark/MapReduce cluster),
-//   3. run core::Spca::Fit,
+//   3. run core::Spca::Solve,
 //   4. use the PcaModel: components, Transform (dimensionality reduction),
 //      and row reconstruction.
 

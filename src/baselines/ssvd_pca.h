@@ -36,7 +36,7 @@ struct SsvdOptions {
   int ideal_fit_iterations = 15;
 };
 
-/// Result of an SsvdPca fit. Trace semantics match core::SpcaResult.
+/// Result of an SsvdPca fit. Trace semantics match core::SolveResult.
 struct SsvdResult {
   core::PcaModel model;
   std::vector<core::IterationTrace> trace;

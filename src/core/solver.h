@@ -102,8 +102,8 @@ struct SolverCheckpoint {
   }
 };
 
-/// Optional inputs common to every solver — the warm start and telemetry
-/// routing that used to live in the sPCA-specific `FitInit`.
+/// Optional inputs common to every solver: the warm start, telemetry
+/// routing and checkpoint hook.
 /// Default-constructed it means "cold start": random initial components and
 /// noise variance, smart-guess pre-fit if the solver's options ask for it,
 /// telemetry into the engine's registry.
@@ -182,16 +182,19 @@ class Solver {
   }
 };
 
-/// Adapts a single-shot fit function (the batch baselines) to the Solver
-/// surface: Step() buffers batches, Result() concatenates them and runs the
-/// fit. A single Step() hands its DistMatrix through unchanged — same
-/// partitioning, same bits — so adapted solvers are bit-identical to the
-/// direct fit call.
+/// The one home of batch buffering: Step() buffers batches, and Snapshot()
+/// / Result() concatenate them and run one Solve over everything ingested.
+/// A single Step() hands its DistMatrix through unchanged — same
+/// partitioning, same bits — so a buffered solve is bit-identical to
+/// calling Solve directly. Batch solvers (core::Spca, sketch::RandSvdPca)
+/// derive and override Solve; the baselines are adapted by passing their
+/// single-shot fit as a FitFn.
 class BatchSolver : public Solver {
  public:
   using FitFn = std::function<StatusOr<SolveResult>(const dist::DistMatrix&,
                                                     const FitOptions&)>;
 
+  /// Adapts a single-shot fit function to the Solver surface.
   BatchSolver(std::string name, FitFn fit)
       : name_(std::move(name)), fit_(std::move(fit)) {}
 
@@ -201,8 +204,21 @@ class BatchSolver : public Solver {
   StatusOr<PcaModel> Snapshot() const override;
   StatusOr<SolveResult> Result() override;
 
+  /// Single-shot solve over `y`. `options` carries the optional warm start,
+  /// telemetry registry and checkpoint hook; the default is a cold start.
+  virtual StatusOr<SolveResult> Solve(const dist::DistMatrix& y,
+                                      const FitOptions& options = {}) const;
+
+ protected:
+  /// For subclasses that override Solve.
+  explicit BatchSolver(std::string name) : name_(std::move(name)) {}
+
+  /// The Init-time options the next buffered Solve receives; Restore()
+  /// implementations plant their warm start here.
+  FitOptions& fit_options() { return options_; }
+
  private:
-  StatusOr<SolveResult> FitBuffered() const;
+  StatusOr<SolveResult> SolveBuffered() const;
 
   std::string name_;
   FitFn fit_;

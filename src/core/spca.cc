@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <string>
 #include <utility>
 
 #include "common/rng.h"
@@ -18,8 +20,49 @@ using dist::DistMatrix;
 using linalg::DenseMatrix;
 using linalg::DenseVector;
 
-StatusOr<SpcaResult> Spca::Solve(const DistMatrix& y,
-                                 const FitOptions& init) const {
+double Spca::Shrink(double value, double threshold) {
+  if (value > threshold) return value - threshold;
+  if (value < -threshold) return value + threshold;
+  return 0.0;
+}
+
+namespace {
+
+/// Soft-thresholds C in place, protecting each column's largest-magnitude
+/// entry (so no component ever collapses to the zero vector, which would
+/// make C'C + ss*I ill-conditioned). Returns the number of non-zero
+/// loadings remaining.
+uint64_t ThresholdLoadings(DenseMatrix* c, double threshold) {
+  const size_t dim = c->rows();
+  const size_t d = c->cols();
+  uint64_t nnz = 0;
+  for (size_t j = 0; j < d; ++j) {
+    size_t keep = 0;
+    double best = -1.0;
+    for (size_t i = 0; i < dim; ++i) {
+      const double magnitude = std::fabs((*c)(i, j));
+      if (magnitude > best) {
+        best = magnitude;
+        keep = i;
+      }
+    }
+    for (size_t i = 0; i < dim; ++i) {
+      if (i == keep) {
+        if ((*c)(i, j) != 0.0) ++nnz;
+        continue;
+      }
+      const double shrunk = Spca::Shrink((*c)(i, j), threshold);
+      (*c)(i, j) = shrunk;
+      if (shrunk != 0.0) ++nnz;
+    }
+  }
+  return nnz;
+}
+
+}  // namespace
+
+StatusOr<SolveResult> Spca::Solve(const DistMatrix& y,
+                                  const FitOptions& init) const {
   if (options_.num_components == 0) {
     return Status::InvalidArgument("num_components must be positive");
   }
@@ -30,6 +73,9 @@ StatusOr<SpcaResult> Spca::Solve(const DistMatrix& y,
   if (y.rows() < 2) {
     return Status::InvalidArgument("need at least 2 rows");
   }
+  if (!(options_.l1_threshold >= 0.0)) {  // also rejects NaN
+    return Status::InvalidArgument("l1_threshold must be non-negative");
+  }
 
   obs::Registry* registry =
       init.registry != nullptr ? init.registry : engine_->registry();
@@ -38,6 +84,9 @@ StatusOr<SpcaResult> Spca::Solve(const DistMatrix& y,
   fit_span.SetAttribute("cols", static_cast<uint64_t>(y.cols()));
   fit_span.SetAttribute("components",
                         static_cast<uint64_t>(options_.num_components));
+  if (options_.l1_threshold > 0.0) {
+    fit_span.SetAttribute("l1_threshold", options_.l1_threshold);
+  }
 
   const bool warm_start = init.components.has_value();
   DenseMatrix c;
@@ -98,58 +147,12 @@ StatusOr<SpcaResult> Spca::Solve(const DistMatrix& y,
   return result;
 }
 
-StatusOr<SpcaResult> Spca::FitWithInit(const DistMatrix& y,
-                                       DenseMatrix initial_components,
-                                       double initial_ss) const {
-  FitOptions fit;
-  fit.components = std::move(initial_components);
-  fit.noise_variance = initial_ss;
-  return Solve(y, fit);
-}
-
-Status Spca::Init(const FitOptions& options) {
-  solve_options_ = options;
-  batches_.clear();
-  return Status::Ok();
-}
-
-Status Spca::Step(const DistMatrix& batch) {
-  if (batch.rows() == 0) {
-    return Status::InvalidArgument("empty batch");
-  }
-  if (!batches_.empty() && batch.cols() != batches_.front().cols()) {
-    return Status::InvalidArgument("batch dimensionality changed mid-solve");
-  }
-  batches_.push_back(batch);
-  return Status::Ok();
-}
-
-StatusOr<SpcaResult> Spca::SolveBuffered() const {
-  if (batches_.empty()) {
-    return Status::FailedPrecondition("no rows ingested; call Step first");
-  }
-  auto y = ConcatBatches(batches_);
-  if (!y.ok()) return y.status();
-  return Solve(y.value(), solve_options_);
-}
-
-StatusOr<PcaModel> Spca::Snapshot() const {
-  auto result = SolveBuffered();
-  if (!result.ok()) return result.status();
-  return std::move(result.value().model);
-}
-
-StatusOr<SolveResult> Spca::Result() {
-  auto result = SolveBuffered();
-  batches_.clear();
-  return result;
-}
-
 Status Spca::Restore(const PcaModel& model,
                      const SolverCheckpoint& checkpoint) {
   if (checkpoint.solver != name()) {
     return Status::InvalidArgument("checkpoint was written by solver '" +
-                                   checkpoint.solver + "', not 'spca'");
+                                   checkpoint.solver + "', not '" +
+                                   std::string(name()) + "'");
   }
   if (model.components.rows() == 0 || model.components.cols() == 0) {
     return Status::InvalidArgument("checkpoint model has no components");
@@ -157,12 +160,12 @@ Status Spca::Restore(const PcaModel& model,
   if (!(model.noise_variance > 0.0)) {
     return Status::InvalidArgument("checkpoint noise variance must be > 0");
   }
-  solve_options_.components = model.components;
-  solve_options_.noise_variance = model.noise_variance;
+  fit_options().components = model.components;
+  fit_options().noise_variance = model.noise_variance;
   return Status::Ok();
 }
 
-StatusOr<SpcaResult> Spca::RunEm(
+StatusOr<SolveResult> Spca::RunEm(
     const DistMatrix& y, DenseMatrix initial_components, double initial_ss,
     obs::Registry* registry,
     const std::function<Status(const PcaModel&, const SolverCheckpoint&)>&
@@ -205,7 +208,7 @@ StatusOr<SpcaResult> Spca::RunEm(
   toggles.consolidate_jobs = options_.consolidate_jobs;
   toggles.ss3_associativity = options_.ss3_associativity;
 
-  SpcaResult result;
+  SolveResult result;
   result.first_job_index = engine_->traces().size();
   result.model.components = std::move(initial_components);
   result.model.noise_variance = initial_ss;
@@ -280,6 +283,15 @@ StatusOr<SpcaResult> Spca::RunEm(
     if (!c_new.ok()) return c_new.status();
     engine_->CountDriverFlops(2ull * d * d * d + 2ull * dim * d * d);
 
+    // spca_sparse: lasso-style soft-threshold on the fresh C *before* the
+    // variance update, so (C, ss) stay mutually consistent and the
+    // checkpointed model is the complete resume state.
+    uint64_t nnz_loadings = 0;
+    if (options_.l1_threshold > 0.0) {
+      nnz_loadings = ThresholdLoadings(&c_new.value(), options_.l1_threshold);
+      engine_->CountDriverFlops(2ull * dim * d);
+    }
+
     // ss2 = trace(XtX * C' * C) (line 12).
     const DenseMatrix ctc = linalg::TransposeMultiply(c_new.value(),
                                                       c_new.value());
@@ -300,13 +312,21 @@ StatusOr<SpcaResult> Spca::RunEm(
     ss = std::max(ss_new, 1e-12);
     result.iterations_run = iteration;
     iter_span.SetAttribute("ss", ss);
+    if (options_.l1_threshold > 0.0) {
+      iter_span.SetAttribute("nnz_loadings", nnz_loadings);
+      registry->counter("spca.loadings.zeroed")
+          ->Add(static_cast<double>(static_cast<uint64_t>(dim) * d -
+                                    nnz_loadings));
+      registry->gauge("spca.loadings.nnz")
+          ->Set(static_cast<double>(nnz_loadings));
+    }
 
     if (on_checkpoint) {
       // result.model already aliases (C, ss, mean) — the complete resume
       // state: warm-starting from it re-runs the remaining iterations
       // bit-identically (each iteration is pure in the model and Y).
       SolverCheckpoint checkpoint;
-      checkpoint.solver = "spca";
+      checkpoint.solver = std::string(name());
       checkpoint.step = static_cast<uint64_t>(iteration);
       checkpoint.rows_seen = n;
       SPCA_RETURN_IF_ERROR(on_checkpoint(result.model, checkpoint));

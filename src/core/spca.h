@@ -2,9 +2,6 @@
 #define SPCA_CORE_SPCA_H_
 
 #include <functional>
-#include <optional>
-#include <string_view>
-#include <vector>
 
 #include "common/status.h"
 #include "core/pca_model.h"
@@ -16,15 +13,6 @@
 #include "obs/registry.h"
 
 namespace spca::core {
-
-/// The outcome of Spca::Solve — the common SolveResult under its historical
-/// name.
-using SpcaResult = SolveResult;
-
-/// Deprecated: optional inputs to the legacy Spca::Fit shim. `FitInit` was
-/// folded into the solver-agnostic core::FitOptions; the alias keeps old
-/// call sites compiling unchanged.
-using FitInit = FitOptions;
 
 /// sPCA: scalable distributed Probabilistic PCA (the paper's Algorithm 4).
 ///
@@ -46,55 +34,47 @@ using FitInit = FitOptions;
 ///   fit.noise_variance = previous.model.noise_variance;
 ///   auto refit = spca.Solve(matrix, fit);
 ///
-/// Spca also implements the incremental core::Solver surface (Init / Step /
-/// Snapshot / Result): Step buffers batches and Result runs one batch solve
-/// over everything ingested. A single-batch Step solves the caller's matrix
-/// with its original partitioning, bit-identical to Solve.
-class Spca : public Solver {
+/// With SpcaOptions::l1_threshold > 0 this is the "spca_sparse" preset
+/// (Zou-Hastie-Tibshirani's lasso idea on the same EM driver): C is
+/// soft-thresholded after every M-step, driving most loadings to exactly
+/// zero, which means interpretable components and proportionally fewer
+/// serve-time Projector QueryFlops. Zeroed/remaining loading counts land in
+/// the spca.loadings.{zeroed,nnz} metrics.
+///
+/// The incremental Solver surface (Init / Step / Snapshot / Result) comes
+/// from BatchSolver: Step buffers batches and Result runs one Solve over
+/// everything ingested.
+class Spca : public BatchSolver {
  public:
   /// `engine` must outlive this object.
   Spca(dist::Engine* engine, const SpcaOptions& options)
-      : engine_(engine), options_(options) {}
+      : BatchSolver(options.l1_threshold > 0.0 ? "spca_sparse" : "spca"),
+        engine_(engine),
+        options_(options) {}
 
   /// Fits a PPCA model to the rows of `y`. Fails on degenerate input
   /// (fewer columns than components, an all-zero matrix, a warm start of
-  /// the wrong shape, ...). `fit` carries the optional warm start and the
-  /// optional telemetry registry; the default is a cold start.
-  StatusOr<SpcaResult> Solve(const dist::DistMatrix& y,
-                             const FitOptions& fit = {}) const;
-
-  /// Deprecated: pre-Solver-API name for Solve. Kept as a shim so existing
-  /// callers and serialized call sites keep working; bit-identical to
-  /// Solve(y, init).
-  StatusOr<SpcaResult> Fit(const dist::DistMatrix& y,
-                           const FitInit& init = {}) const {
-    return Solve(y, init);
-  }
-
-  /// Backwards-compatible shim for the old two-method surface; equivalent
-  /// to Solve(y, {.components=..., .noise_variance=...}).
-  StatusOr<SpcaResult> FitWithInit(const dist::DistMatrix& y,
-                                   linalg::DenseMatrix initial_components,
-                                   double initial_ss) const;
-
-  // Solver surface.
-  std::string_view name() const override { return "spca"; }
-  Status Init(const FitOptions& options) override;
-  Status Step(const dist::DistMatrix& batch) override;
-  StatusOr<PcaModel> Snapshot() const override;
-  StatusOr<SolveResult> Result() override;
+  /// the wrong shape, a negative or NaN l1_threshold, ...). `fit` carries
+  /// the optional warm start and the optional telemetry registry; the
+  /// default is a cold start.
+  StatusOr<SolveResult> Solve(const dist::DistMatrix& y,
+                              const FitOptions& fit = {}) const override;
 
   /// Restores a checkpoint written by FitOptions::on_checkpoint during a
   /// previous (possibly killed) solve: the checkpointed model becomes the
   /// warm start of the next Solve/Result. Because the warm-start path
-  /// consumes no RNG draws and each EM iteration is a pure function of
-  /// (C, ss, Y), running the remaining iterations from the checkpoint is
-  /// bit-identical to the uninterrupted run. Iteration numbering restarts
-  /// at 1; callers wanting global numbering offset by checkpoint.step.
+  /// consumes no RNG draws and each EM iteration (thresholding included)
+  /// is a pure function of (C, ss, Y), running the remaining iterations
+  /// from the checkpoint is bit-identical to the uninterrupted run.
+  /// Iteration numbering restarts at 1; callers wanting global numbering
+  /// offset by checkpoint.step.
   Status Restore(const PcaModel& model,
                  const SolverCheckpoint& checkpoint) override;
 
   const SpcaOptions& options() const { return options_; }
+
+  /// The soft-threshold operator: sign(x) * max(|x| - threshold, 0).
+  static double Shrink(double value, double threshold);
 
  private:
   /// The EM loop proper (Algorithm 4 lines 3-14) from a concrete starting
@@ -102,20 +82,14 @@ class Spca : public Solver {
   /// (possibly empty) is invoked after every iteration with the current
   /// model; the smart-guess pre-fit passes an empty callback so sample
   /// fits are never checkpointed.
-  StatusOr<SpcaResult> RunEm(
+  StatusOr<SolveResult> RunEm(
       const dist::DistMatrix& y, linalg::DenseMatrix initial_components,
       double initial_ss, obs::Registry* registry,
       const std::function<Status(const PcaModel&, const SolverCheckpoint&)>&
           on_checkpoint = {}) const;
 
-  StatusOr<SpcaResult> SolveBuffered() const;
-
   dist::Engine* engine_;
   SpcaOptions options_;
-
-  // Solver-surface state: buffered Step batches and the Init-time options.
-  FitOptions solve_options_;
-  std::vector<dist::DistMatrix> batches_;
 };
 
 }  // namespace spca::core

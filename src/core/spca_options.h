@@ -6,7 +6,7 @@
 
 namespace spca::core {
 
-/// Configuration for Spca::Fit. The optimization toggles exist so the
+/// Configuration for Spca::Solve. The optimization toggles exist so the
 /// effect of each design decision can be measured in isolation (the paper's
 /// Section 5.4 / Table 3); production use leaves them all enabled. With
 /// every toggle disabled, the algorithm degenerates to the naive
@@ -74,6 +74,14 @@ struct SpcaOptions {
   double ideal_error_override = 0.0;
   /// Iterations of the hidden converged fit used for the anchor.
   int ideal_fit_iterations = 15;
+
+  // ---- Sparse loadings (the "spca_sparse" preset) ----------------------
+
+  /// L1 soft threshold applied entrywise to C after every EM update:
+  /// c <- sign(c) * max(|c| - l1_threshold, 0). Each column's
+  /// largest-magnitude entry is exempt so no component collapses to zero.
+  /// 0 disables it (plain sPCA); > 0 makes the solver "spca_sparse".
+  double l1_threshold = 0.0;
 };
 
 }  // namespace spca::core

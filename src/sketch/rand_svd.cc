@@ -279,43 +279,9 @@ StatusOr<core::SolveResult> RandSvdPca::Solve(
 }
 
 Status RandSvdPca::Init(const core::FitOptions& options) {
-  solve_options_ = options;
-  batches_.clear();
   restored_basis_.reset();
   restored_rounds_ = 0;
-  return Status::Ok();
-}
-
-Status RandSvdPca::Step(const DistMatrix& batch) {
-  if (batch.rows() == 0) {
-    return Status::InvalidArgument("empty batch");
-  }
-  if (!batches_.empty() && batch.cols() != batches_.front().cols()) {
-    return Status::InvalidArgument("batch dimensionality changed mid-solve");
-  }
-  batches_.push_back(batch);
-  return Status::Ok();
-}
-
-StatusOr<core::SolveResult> RandSvdPca::SolveBuffered() const {
-  if (batches_.empty()) {
-    return Status::FailedPrecondition("no rows ingested; call Step first");
-  }
-  auto y = core::ConcatBatches(batches_);
-  if (!y.ok()) return y.status();
-  return Solve(y.value(), solve_options_);
-}
-
-StatusOr<core::PcaModel> RandSvdPca::Snapshot() const {
-  auto result = SolveBuffered();
-  if (!result.ok()) return result.status();
-  return std::move(result.value().model);
-}
-
-StatusOr<core::SolveResult> RandSvdPca::Result() {
-  auto result = SolveBuffered();
-  batches_.clear();
-  return result;
+  return BatchSolver::Init(options);
 }
 
 Status RandSvdPca::Restore(const core::PcaModel& model,

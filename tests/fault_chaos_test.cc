@@ -126,7 +126,7 @@ TEST(FaultPlanTest, RespectsAttemptCapAndInactiveDefault) {
 
 // ---- The headline chaos property ----------------------------------------
 
-// >= 100 randomized FaultPlans: Spca::Fit under each plan must produce the
+// >= 100 randomized FaultPlans: Spca::Solve under each plan must produce the
 // bit-identical model the clean run produced, the engine's retry/straggler
 // counters must equal the schedule recomputed from the plan, and simulated
 // time must strictly exceed the clean run's whenever failures were
@@ -156,7 +156,7 @@ TEST(FaultChaosTest, FitIsBitIdenticalUnderRandomizedFaultPlans) {
       *stragglers =
           CounterValue(*engine.registry(), "engine.stragglers.tasks");
     }
-    return std::pair<core::SpcaResult, double>(std::move(result.value()),
+    return std::pair<core::SolveResult, double>(std::move(result.value()),
                                                engine.SimulatedSeconds());
   };
 

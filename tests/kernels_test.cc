@@ -11,7 +11,7 @@
 //    suites below pin each compiled SIMD variant against
 //    kernels::scalar on ~100 randomized shapes per kernel.
 //
-// The FitBitIdentity test asserts end-to-end that Spca::Fit reproduces
+// The FitBitIdentity test asserts end-to-end that Spca::Solve reproduces
 // the golden captured from the pre-kernel scalar implementation:
 // bit-identically under scalar dispatch (the forced-scalar ctest leg
 // runs this whole binary with SPCA_KERNEL_ISA=scalar), and within 1e-12
@@ -667,7 +667,7 @@ TEST(KernelsTest, FitMatchesPreKernelGolden) {
   golden << in.rdbuf();
   if (DispatchIsExact()) {
     EXPECT_EQ(dump, golden.str())
-        << "Spca::Fit numerics drifted from the pre-kernel-layer golden "
+        << "Spca::Solve numerics drifted from the pre-kernel-layer golden "
            "under scalar dispatch, which promises bit-identical results. If "
            "a numerics change is intentional, regenerate with "
            "SPCA_REGENERATE_FIT_GOLDEN=1 SPCA_KERNEL_ISA=scalar";

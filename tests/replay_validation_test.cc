@@ -21,7 +21,6 @@
 #include "dist/replay.h"
 #include "linalg/sparse_matrix.h"
 #include "sketch/rand_svd.h"
-#include "sketch/sparse_ppca.h"
 #include "sketch/sparsifier.h"
 #include "workload/synthetic.h"
 
@@ -377,12 +376,13 @@ sketch::RandSvdOptions ReplayRandSvdOptions() {
   return options;
 }
 
-sketch::SparsePpcaOptions ReplaySparsePpcaOptions() {
-  sketch::SparsePpcaOptions options;
+core::SpcaOptions ReplaySparsePpcaOptions() {
+  core::SpcaOptions options;
   options.num_components = 3;
   options.max_iterations = 2;
   options.l1_threshold = 0.05;
   options.target_accuracy_fraction = 2.0;
+  options.error_sample_rows = 1000;
   options.compute_accuracy_trace = false;
   options.ideal_error_override = 1.0;
   return options;
@@ -404,7 +404,7 @@ TEST(SketchReplayIdentity, UnitScaleReplayMatchesAccountedCost) {
     ASSERT_TRUE(sketch::RandSvdPca(&rand_svd_engine, ReplayRandSvdOptions())
                     .Solve(matrix)
                     .ok());
-    ASSERT_TRUE(sketch::SparsePpca(&sparse_engine, ReplaySparsePpcaOptions())
+    ASSERT_TRUE(core::Spca(&sparse_engine, ReplaySparsePpcaOptions())
                     .Solve(matrix)
                     .ok());
     ASSERT_TRUE(
@@ -472,7 +472,7 @@ TEST(SketchReplayIdentity, CleanTraceReplayMatchesLiveFaultedRun) {
                           .Solve(matrix)
                           .ok());
         } else {
-          ASSERT_TRUE(sketch::SparsePpca(engine, ReplaySparsePpcaOptions())
+          ASSERT_TRUE(core::Spca(engine, ReplaySparsePpcaOptions())
                           .Solve(matrix)
                           .ok());
         }

@@ -157,7 +157,7 @@ TEST(CorrelatedFaultTest, FitIsBitIdenticalUnderRandomizedCorrelatedPlans) {
       *node_losses =
           CounterValue(*engine.registry(), "engine.faults.node_loss_tasks");
     }
-    return std::pair<core::SpcaResult, double>(std::move(result.value()),
+    return std::pair<core::SolveResult, double>(std::move(result.value()),
                                                engine.SimulatedSeconds());
   };
 

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
 
 #include "baselines/ssvd_pca.h"
 #include "common/rng.h"
@@ -96,12 +97,18 @@ TEST(SpcaEdgeTest, FitWithInitValidatesArguments) {
   const DistMatrix y = SmallData(50, 8, 6);
   Engine engine(dist::ClusterSpec{}, EngineMode::kSpark);
   Spca spca(&engine, QuietOptions(2, 2));
+  const auto warm_start = [&](DenseMatrix components, double ss) {
+    FitOptions fit;
+    fit.components = std::move(components);
+    fit.noise_variance = ss;
+    return spca.Solve(y, fit);
+  };
   // Wrong shape.
-  EXPECT_FALSE(spca.FitWithInit(y, DenseMatrix(8, 5), 1.0).ok());
-  EXPECT_FALSE(spca.FitWithInit(y, DenseMatrix(5, 2), 1.0).ok());
+  EXPECT_FALSE(warm_start(DenseMatrix(8, 5), 1.0).ok());
+  EXPECT_FALSE(warm_start(DenseMatrix(5, 2), 1.0).ok());
   // Non-positive ss.
-  EXPECT_FALSE(spca.FitWithInit(y, DenseMatrix(8, 2), 0.0).ok());
-  EXPECT_FALSE(spca.FitWithInit(y, DenseMatrix(8, 2), -1.0).ok());
+  EXPECT_FALSE(warm_start(DenseMatrix(8, 2), 0.0).ok());
+  EXPECT_FALSE(warm_start(DenseMatrix(8, 2), -1.0).ok());
 }
 
 TEST(SpcaEdgeTest, WarmStartFromPreviousModelConverges) {
@@ -110,8 +117,10 @@ TEST(SpcaEdgeTest, WarmStartFromPreviousModelConverges) {
   Spca spca(&engine, QuietOptions(3, 6));
   auto first = spca.Solve(y);
   ASSERT_TRUE(first.ok());
-  auto second = spca.FitWithInit(y, first.value().model.components,
-                                 first.value().model.noise_variance);
+  FitOptions warm;
+  warm.components = first.value().model.components;
+  warm.noise_variance = first.value().model.noise_variance;
+  auto second = spca.Solve(y, warm);
   ASSERT_TRUE(second.ok());
   // Warm start from a converged model barely moves.
   EXPECT_LT(second.value().model.components.MaxAbsDiff(

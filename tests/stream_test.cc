@@ -1,15 +1,18 @@
 // Streaming PCA: the row-stream generator, the drift metric, the two
 // streaming solvers, the publisher / hot-swap path, and the Solver-API
-// equivalences (stepwise == single-shot, legacy Fit shim == Solve,
-// streaming Snapshot warm-starting a batch refit bit-identically).
+// equivalences (stepwise == single-shot, the shared BatchSolver buffering
+// for every batch solver, streaming Snapshot warm-starting a batch refit
+// bit-identically).
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "baselines/baseline_solvers.h"
@@ -24,6 +27,7 @@
 #include "obs/registry.h"
 #include "serve/model_io.h"
 #include "serve/model_registry.h"
+#include "sketch/rand_svd.h"
 #include "stream/drift.h"
 #include "stream/pipeline.h"
 #include "stream/publisher.h"
@@ -284,19 +288,6 @@ TEST(SolverApiTest, RunSolverMatchesSolve) {
   ExpectModelsBitIdentical(direct->model, via_runner->model);
 }
 
-TEST(SolverApiTest, LegacyFitShimMatchesSolve) {
-  const DistMatrix y = LowRankBatch(160, 48, 13, 4);
-  Engine e1(dist::ClusterSpec{}, EngineMode::kSpark);
-  auto via_solve = core::Spca(&e1, BatchOptions()).Solve(y);
-  Engine e2(dist::ClusterSpec{}, EngineMode::kSpark);
-  auto via_fit = core::Spca(&e2, BatchOptions()).Fit(y);
-  ASSERT_TRUE(via_solve.ok());
-  ASSERT_TRUE(via_fit.ok());
-  ExpectModelsBitIdentical(via_solve->model, via_fit->model);
-  EXPECT_EQ(via_solve->iterations_run, via_fit->iterations_run);
-  EXPECT_EQ(via_solve->stats.task_flops, via_fit->stats.task_flops);
-}
-
 TEST(SolverApiTest, StreamingSnapshotWarmStartsBatchFitBitIdentically) {
   // Stream some batches, snapshot, and persist the snapshot.
   workload::RowStream stream(SmallStreamConfig());
@@ -315,21 +306,21 @@ TEST(SolverApiTest, StreamingSnapshotWarmStartsBatchFitBitIdentically) {
   ASSERT_TRUE(reloaded.ok());
   ExpectModelsBitIdentical(snapshot.value(), reloaded.value());
 
-  // Warm-starting a batch fit from the snapshot through FitOptions is
-  // bit-identical to the legacy FitWithInit shim given the same state.
+  // Warm-starting a batch fit from the spooled snapshot is bit-identical
+  // to warm-starting it from the in-memory snapshot.
   const DistMatrix y = LowRankBatch(200, 64, 21, 4);
-  Engine e1(dist::ClusterSpec{}, EngineMode::kSpark);
-  core::FitOptions warm;
-  warm.components = reloaded->components;
-  warm.noise_variance = reloaded->noise_variance;
-  auto via_options = core::Spca(&e1, BatchOptions()).Solve(y, warm);
-  Engine e2(dist::ClusterSpec{}, EngineMode::kSpark);
-  auto via_shim = core::Spca(&e2, BatchOptions())
-                      .FitWithInit(y, reloaded->components,
-                                   reloaded->noise_variance);
-  ASSERT_TRUE(via_options.ok());
-  ASSERT_TRUE(via_shim.ok());
-  ExpectModelsBitIdentical(via_options->model, via_shim->model);
+  const auto warm_fit = [&](const core::PcaModel& model) {
+    Engine engine(dist::ClusterSpec{}, EngineMode::kSpark);
+    core::FitOptions warm;
+    warm.components = model.components;
+    warm.noise_variance = model.noise_variance;
+    return core::Spca(&engine, BatchOptions()).Solve(y, warm);
+  };
+  auto via_spool = warm_fit(reloaded.value());
+  auto via_memory = warm_fit(snapshot.value());
+  ASSERT_TRUE(via_spool.ok());
+  ASSERT_TRUE(via_memory.ok());
+  ExpectModelsBitIdentical(via_spool->model, via_memory->model);
 }
 
 TEST(SolverApiTest, BatchSolverAdapterMatchesDirectBaselineFit) {
@@ -351,6 +342,70 @@ TEST(SolverApiTest, BatchSolverAdapterMatchesDirectBaselineFit) {
   ASSERT_TRUE(adapted.ok());
   ExpectModelsBitIdentical(direct->model, adapted->model);
   EXPECT_EQ(direct->iterations_run, adapted->iterations_run);
+}
+
+// core::BatchSolver is the only home of Init/Step/Snapshot/Result
+// buffering; every batch solver must get the same contract from it.
+TEST(SolverApiTest, EveryBatchSolverSharesTheBufferingContract) {
+  using Factory = std::function<std::unique_ptr<core::Solver>(Engine*)>;
+  core::SpcaOptions sparse_options = BatchOptions();
+  sparse_options.l1_threshold = 0.05;
+  sketch::RandSvdOptions rand_svd_options;
+  rand_svd_options.num_components = 4;
+  rand_svd_options.compute_accuracy_trace = false;
+  baselines::SsvdOptions ssvd_options;
+  ssvd_options.num_components = 4;
+  ssvd_options.max_power_iterations = 2;
+  ssvd_options.target_accuracy_fraction = 2.0;
+  const std::vector<std::pair<std::string, Factory>> solvers = {
+      {"spca",
+       [](Engine* e) {
+         return std::make_unique<core::Spca>(e, BatchOptions());
+       }},
+      {"spca_sparse",
+       [&](Engine* e) {
+         return std::make_unique<core::Spca>(e, sparse_options);
+       }},
+      {"rand_svd",
+       [&](Engine* e) {
+         return std::make_unique<sketch::RandSvdPca>(e, rand_svd_options);
+       }},
+      {"mahout",
+       [&](Engine* e) { return baselines::MakeSsvdSolver(e, ssvd_options); }},
+  };
+
+  const std::vector<DistMatrix> batches = {LowRankBatch(90, 32, 41, 3),
+                                           LowRankBatch(70, 32, 42, 2)};
+  auto concatenated = core::ConcatBatches(batches);
+  ASSERT_TRUE(concatenated.ok());
+
+  for (const auto& [name, make] : solvers) {
+    SCOPED_TRACE(name);
+    Engine engine(dist::ClusterSpec{}, EngineMode::kSpark);
+    const std::unique_ptr<core::Solver> solver = make(&engine);
+    EXPECT_EQ(solver->name(), name);
+    ASSERT_TRUE(solver->Init({}).ok());
+    EXPECT_EQ(solver->Snapshot().status().code(),
+              StatusCode::kFailedPrecondition);  // nothing ingested yet
+    EXPECT_EQ(solver->Step(DistMatrix()).code(),
+              StatusCode::kInvalidArgument);
+    ASSERT_TRUE(solver->Step(batches[0]).ok());
+    EXPECT_EQ(solver->Step(LowRankBatch(40, 16, 44, 2)).code(),
+              StatusCode::kInvalidArgument);
+    ASSERT_TRUE(solver->Step(batches[1]).ok());
+    auto stepped = solver->Result();
+    ASSERT_TRUE(stepped.ok()) << stepped.status().ToString();
+    EXPECT_EQ(solver->Result().status().code(),
+              StatusCode::kFailedPrecondition);  // the buffer was consumed
+
+    // RunSolver over the concatenation is one Solve(ConcatBatches(...)).
+    Engine fresh_engine(dist::ClusterSpec{}, EngineMode::kSpark);
+    auto direct = core::RunSolver(make(&fresh_engine).get(),
+                                  concatenated.value());
+    ASSERT_TRUE(direct.ok()) << direct.status().ToString();
+    ExpectModelsBitIdentical(stepped->model, direct->model);
+    EXPECT_EQ(stepped->iterations_run, direct->iterations_run);
+  }
 }
 
 TEST(PublisherTest, GenerationBumpsAcrossSwapsAndSpoolRoundtrips) {

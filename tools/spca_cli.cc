@@ -32,7 +32,6 @@
 #include "obs/stream.h"
 #include "serve/model_io.h"
 #include "sketch/rand_svd.h"
-#include "sketch/sparse_ppca.h"
 #include "sketch/sparsifier.h"
 #include "workload/datasets.h"
 #include "workload/io.h"
@@ -64,7 +63,7 @@ Sketching (src/sketch/, see DESIGN.md "Sketching solver family"):
   --sketch-dim K        rand_svd: sketch columns (default 0 = components + 10)
   --power-iters N       rand_svd: extra power iterations (default 1)
   --l1-threshold T      spca_sparse: per-sweep soft threshold on the loadings
-                        (default 0.1)
+                        (default 0.1; 0 runs plain spca)
   --sparsify-keep P     keep each input entry with probability P (reweighted
                         by 1/P) before fitting — composes with any algorithm;
                         the keep mask is seeded by --seed per input row
@@ -75,8 +74,7 @@ Cluster model:
 
 Fault injection (deterministic; results are bit-identical to a clean run,
 only recovery cost is charged — see DESIGN.md "Fault injection & recovery"):
-  --fault-rate P        per-attempt task failure probability (default 0;
-                        --failures is a legacy alias)
+  --fault-rate P        per-attempt task failure probability (default 0)
   --straggler-rate P    probability a task's committing attempt straggles
   --straggler-slowdown F  straggler compute multiplier (default 4)
   --max-retries N       retries per task before it must succeed (default 3)
@@ -164,7 +162,7 @@ StatusOr<Args> ParseArgs(int argc, char** argv) {
       "--input",      "--format",     "--generate", "--rows",
       "--cols",       "--text-cols",  "--algorithm", "--platform",
       "--components", "--iterations", "--target",    "--partitions",
-      "--nodes",      "--failures",   "--output",    "--output-bin",
+      "--nodes",      "--output",     "--output-bin",
       "--save-model", "--load-model",
       "--seed",       "--trace-out",  "--trace-stream", "--flush-every",
       "--replay-rows", "--fault-rate", "--fault-seed", "--straggler-rate",
@@ -363,15 +361,16 @@ StatusOr<std::unique_ptr<spca::core::Solver>> MakeSolver(
         std::make_unique<spca::sketch::RandSvdPca>(engine, options));
   }
   if (algorithm == "spca_sparse") {
-    spca::sketch::SparsePpcaOptions options;
+    // The sparse-loadings preset of sPCA; --l1-threshold 0 is plain spca.
+    spca::core::SpcaOptions options;
     options.num_components = d;
     options.max_iterations = iterations;
-    options.l1_threshold =
-        args.GetDouble("--l1-threshold", options.l1_threshold);
+    options.l1_threshold = args.GetDouble("--l1-threshold", 0.1);
     options.target_accuracy_fraction = target;
+    options.error_sample_rows = 1000;
     options.seed = seed;
     return std::unique_ptr<spca::core::Solver>(
-        std::make_unique<spca::sketch::SparsePpca>(engine, options));
+        std::make_unique<spca::core::Spca>(engine, options));
   }
   return Status::InvalidArgument("unknown --algorithm " + algorithm);
 }
@@ -590,7 +589,7 @@ int Main(int argc, char** argv) {
 
   spca::dist::FaultSpec fault_spec;
   fault_spec.task_failure_probability =
-      args->GetDouble("--fault-rate", args->GetDouble("--failures", 0.0));
+      args->GetDouble("--fault-rate", 0.0);
   fault_spec.straggler_probability = args->GetDouble("--straggler-rate", 0.0);
   fault_spec.straggler_slowdown =
       args->GetDouble("--straggler-slowdown", fault_spec.straggler_slowdown);
