@@ -1,8 +1,9 @@
 // Micro-benchmarks for the linear-algebra kernels underlying every PCA
 // method in the repository: dense GEMM variants, the broadcast-style
 // row-times-matrix product (Section 3.3's in-memory multiplication),
-// sparse row products, and the small-matrix decompositions the drivers
-// run (Cholesky solve, symmetric eigen, SVD).
+// sparse row products, the EM driver step's D x d products (SolveRight,
+// Gram, OrthonormalizeColumns), and the small-matrix decompositions the
+// drivers run (Cholesky solve, symmetric eigen, SVD).
 
 #include <benchmark/benchmark.h>
 
@@ -12,6 +13,7 @@
 #include "linalg/eigen_sym.h"
 #include "linalg/kernels.h"
 #include "linalg/ops.h"
+#include "linalg/qr.h"
 #include "linalg/solve.h"
 #include "linalg/svd.h"
 #include "workload/synthetic.h"
@@ -251,6 +253,30 @@ void BM_LuInverse(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(Inverse(a));
 }
 BENCHMARK(BM_LuInverse)->Arg(50)->Arg(100);
+
+// The EM driver step's D x d products at the repobench shapes (fit_spectra
+// 8000 x 100, fit_tweets 4000 x 50), single-threaded.
+void BM_SolveRight(benchmark::State& state) {
+  const size_t dim = static_cast<size_t>(state.range(0));
+  const size_t d = static_cast<size_t>(state.range(1));
+  const DenseMatrix ytx = Random(dim, d, 14);
+  DenseMatrix xtx = TransposeMultiply(Random(d, d, 15), Random(d, d, 15));
+  xtx.AddScaledIdentity(static_cast<double>(d));
+  for (auto _ : state) benchmark::DoNotOptimize(SolveRight(ytx, xtx));
+}
+BENCHMARK(BM_SolveRight)->Args({8000, 100})->Args({4000, 50});
+
+void BM_Gram(benchmark::State& state) {
+  const DenseMatrix c = Random(state.range(0), state.range(1), 16);
+  for (auto _ : state) benchmark::DoNotOptimize(Gram(c));
+}
+BENCHMARK(BM_Gram)->Args({8000, 100})->Args({4000, 50});
+
+void BM_OrthonormalizeColumns(benchmark::State& state) {
+  const DenseMatrix c = Random(state.range(0), state.range(1), 17);
+  for (auto _ : state) benchmark::DoNotOptimize(OrthonormalizeColumns(c));
+}
+BENCHMARK(BM_OrthonormalizeColumns)->Args({8000, 100})->Args({4000, 50});
 
 void BM_SymmetricEigen(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));

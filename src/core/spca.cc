@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "common/rng.h"
 #include "common/stopwatch.h"
@@ -57,6 +59,37 @@ uint64_t ThresholdLoadings(DenseMatrix* c, double threshold) {
     }
   }
   return nnz;
+}
+
+/// Driver products below this many multiply-adds (D * d * d) run inline:
+/// a pool dispatch costs tens of microseconds.
+constexpr size_t kMinParallelWork = size_t{1} << 16;
+
+/// How many row blocks the driver's D x d products split into.
+size_t DriverParts(const dist::Engine& engine, size_t dim, size_t d) {
+  return std::clamp<size_t>(dim * d * d / kMinParallelWork, 1,
+                            engine.LocalThreads());
+}
+
+/// fn(begin, end) over `parts` contiguous blocks of [0, rows), on the
+/// engine's pool.
+void ForRowBlocks(dist::Engine* engine, size_t rows, size_t parts,
+                  const std::function<void(size_t, size_t)>& fn) {
+  engine->DriverParallelFor(parts, [&](size_t p) {
+    fn(rows * p / parts, rows * (p + 1) / parts);
+  });
+}
+
+/// C'C with the triangle's output rows split across the engine's pool.
+DenseMatrix DriverGram(dist::Engine* engine, const DenseMatrix& c,
+                       size_t parts) {
+  DenseMatrix ctc(c.cols(), c.cols());
+  const std::vector<size_t> blocks = linalg::GramRowBlocks(c.cols(), parts);
+  engine->DriverParallelFor(parts, [&](size_t p) {
+    linalg::GramRows(c, blocks[p], blocks[p + 1], &ctc);
+  });
+  linalg::MirrorUpper(&ctc);
+  return ctc;
 }
 
 }  // namespace
@@ -242,23 +275,37 @@ StatusOr<SolveResult> Spca::RunEm(
   double& ss = result.model.noise_variance;
   const DenseVector& ym = result.model.mean;
 
+  // The driver's D x d products run in row blocks on the engine's pool;
+  // every output row sees the same operations for any block count.
+  const size_t parts = DriverParts(*engine_, dim, d);
+  // C'C of the current C. Each iteration's ss2 step computes it for the
+  // next one, so only the first is computed here (a resumed run starts
+  // from its restored C, as a fresh one does).
+  DenseMatrix ctc = DriverGram(engine_, c, parts);
+
   for (int iteration = 1; iteration <= options_.max_iterations; ++iteration) {
     obs::Span iter_span(registry, "spca.em_iteration", "iteration");
     iter_span.SetAttribute("iteration", static_cast<uint64_t>(iteration));
     registry->counter("spca.em_iterations")->Increment();
 
     // Driver-side small algebra (Algorithm 4 lines 6-8).
-    DenseMatrix m = linalg::TransposeMultiply(c, c);  // d x d
+    DenseMatrix m = std::move(ctc);  // d x d
     m.AddScaledIdentity(ss);
     auto m_inverse = linalg::Inverse(m);
     if (!m_inverse.ok()) return m_inverse.status();
-    const DenseMatrix cm = linalg::Multiply(c, m_inverse.value());  // D x d
+    DenseMatrix cm(dim, d);  // C * M^-1
+    ForRowBlocks(engine_, dim, parts, [&](size_t begin, size_t end) {
+      linalg::MultiplyRows(c, m_inverse.value(), begin, end, &cm);
+    });
     DenseVector xm(d);
     for (size_t k = 0; k < dim; ++k) {
       const double mk = ym[k];
       if (mk == 0.0) continue;
       for (size_t j = 0; j < d; ++j) xm[j] += mk * cm(k, j);
     }
+    // C'C is charged here although the previous iteration computed it:
+    // as in jobs.cc's XtX update, the flop count stays the cost model's
+    // (the algorithm's work, not this implementation's shortcuts).
     engine_->CountDriverFlops(2ull * dim * d * d +  // C'C
                               2ull * d * d * d +    // inverse
                               2ull * dim * d * d +  // C * M^-1
@@ -279,8 +326,12 @@ StatusOr<SolveResult> Spca::RunEm(
 
     // XtX += ss * M^-1 (line 10), then C = YtX / XtX (line 11).
     ytx_result.xtx.AddScaled(ss, m_inverse.value());
-    auto c_new = linalg::SolveRight(ytx_result.ytx, ytx_result.xtx);
-    if (!c_new.ok()) return c_new.status();
+    auto xtx_lu = linalg::LuFactor(ytx_result.xtx.Transpose());
+    if (!xtx_lu.ok()) return xtx_lu.status();
+    DenseMatrix c_new = std::move(ytx_result.ytx);  // solved in place
+    ForRowBlocks(engine_, dim, parts, [&](size_t begin, size_t end) {
+      linalg::LuSolveRows(xtx_lu.value(), &c_new, begin, end);
+    });
     engine_->CountDriverFlops(2ull * d * d * d + 2ull * dim * d * d);
 
     // spca_sparse: lasso-style soft-threshold on the fresh C *before* the
@@ -288,13 +339,12 @@ StatusOr<SolveResult> Spca::RunEm(
     // checkpointed model is the complete resume state.
     uint64_t nnz_loadings = 0;
     if (options_.l1_threshold > 0.0) {
-      nnz_loadings = ThresholdLoadings(&c_new.value(), options_.l1_threshold);
+      nnz_loadings = ThresholdLoadings(&c_new, options_.l1_threshold);
       engine_->CountDriverFlops(2ull * dim * d);
     }
 
     // ss2 = trace(XtX * C' * C) (line 12).
-    const DenseMatrix ctc = linalg::TransposeMultiply(c_new.value(),
-                                                      c_new.value());
+    ctc = DriverGram(engine_, c_new, parts);
     double ss2 = 0.0;
     for (size_t a = 0; a < d; ++a) {
       for (size_t b = 0; b < d; ++b) ss2 += ytx_result.xtx(a, b) * ctc(b, a);
@@ -302,13 +352,12 @@ StatusOr<SolveResult> Spca::RunEm(
     engine_->CountDriverFlops(2ull * dim * d * d + 2ull * d * d);
 
     // Distributed ss3 job (line 13), then the variance update (line 14).
-    const double ss3 =
-        Ss3Job(engine_, y, ym, xm, cm, c_new.value(), x_ptr, toggles);
+    const double ss3 = Ss3Job(engine_, y, ym, xm, cm, c_new, x_ptr, toggles);
     const double ss_new =
         (ss1 + ss2 - 2.0 * ss3) / static_cast<double>(n) /
         static_cast<double>(dim);
 
-    c = std::move(c_new.value());
+    c = std::move(c_new);
     ss = std::max(ss_new, 1e-12);
     result.iterations_run = iteration;
     iter_span.SetAttribute("ss", ss);

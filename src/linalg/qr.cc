@@ -76,28 +76,32 @@ StatusOr<QrResult> QrDecompose(const DenseMatrix& a) {
 }
 
 DenseMatrix OrthonormalizeColumns(const DenseMatrix& a) {
+  // Works on the transpose, so each column is one contiguous row; the
+  // operations and their order are those of the column-walking loops.
   const size_t n = a.rows();
   const size_t m = a.cols();
-  DenseMatrix q = a;
+  DenseMatrix qt = a.Transpose();
   for (size_t j = 0; j < m; ++j) {
+    double* qj = qt.RowPtr(j);
     // Two passes of modified Gram–Schmidt for numerical robustness.
     for (int pass = 0; pass < 2; ++pass) {
       for (size_t k = 0; k < j; ++k) {
+        const double* qk = qt.RowPtr(k);
         double dot = 0.0;
-        for (size_t i = 0; i < n; ++i) dot += q(i, k) * q(i, j);
-        for (size_t i = 0; i < n; ++i) q(i, j) -= dot * q(i, k);
+        for (size_t i = 0; i < n; ++i) dot += qk[i] * qj[i];
+        for (size_t i = 0; i < n; ++i) qj[i] -= dot * qk[i];
       }
     }
     double norm = 0.0;
-    for (size_t i = 0; i < n; ++i) norm += q(i, j) * q(i, j);
+    for (size_t i = 0; i < n; ++i) norm += qj[i] * qj[i];
     norm = std::sqrt(norm);
     if (norm < 1e-12) {
-      for (size_t i = 0; i < n; ++i) q(i, j) = 0.0;
+      for (size_t i = 0; i < n; ++i) qj[i] = 0.0;
     } else {
-      for (size_t i = 0; i < n; ++i) q(i, j) /= norm;
+      for (size_t i = 0; i < n; ++i) qj[i] /= norm;
     }
   }
-  return q;
+  return qt.Transpose();
 }
 
 }  // namespace spca::linalg
