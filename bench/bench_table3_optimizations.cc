@@ -40,7 +40,7 @@ Inputs PrepareInputs(Engine* engine, const DistMatrix& y, size_t d) {
   inputs.ym = core::MeanJob(engine, y);
   Rng rng(33);
   const DenseMatrix c = DenseMatrix::GaussianRandom(y.cols(), d, &rng);
-  DenseMatrix m = linalg::TransposeMultiply(c, c);
+  DenseMatrix m = linalg::Gram(c);
   m.AddScaledIdentity(0.5);
   auto minv = linalg::Inverse(m);
   SPCA_CHECK(minv.ok());

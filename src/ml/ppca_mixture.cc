@@ -99,7 +99,7 @@ StatusOr<PpcaMixtureResult> FitPpcaMixture(Engine* engine,
   for (int iteration = 1; iteration <= options.em_iterations; ++iteration) {
     // Refresh the derived per-component quantities on the driver.
     for (auto& component : components) {
-      DenseMatrix m = linalg::TransposeMultiply(component.c, component.c);
+      DenseMatrix m = linalg::Gram(component.c);
       m.AddScaledIdentity(component.ss);
       auto chol = linalg::CholeskyFactor(m);
       if (!chol.ok()) return chol.status();
@@ -259,8 +259,7 @@ StatusOr<PpcaMixtureResult> FitPpcaMixture(Engine* engine,
 
       auto c_new = linalg::SolveRight(ytx, xtx);
       if (!c_new.ok()) return c_new.status();
-      const DenseMatrix ctc =
-          linalg::TransposeMultiply(c_new.value(), c_new.value());
+      const DenseMatrix ctc = linalg::Gram(c_new.value());
       double cross = 0.0;  // tr(C_new' * YtX_w)
       for (size_t j = 0; j < dim; ++j) {
         for (size_t a = 0; a < d; ++a) {

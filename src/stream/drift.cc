@@ -22,7 +22,7 @@ double SubspaceAngleRadians(const DenseMatrix& a, const DenseMatrix& b) {
   // M = Qa' Qb; the k-th largest eigenvalue of M'M (k = min(ka, kb)) is the
   // squared cosine of the largest angle.
   const DenseMatrix m = linalg::TransposeMultiply(qa, qb);
-  const DenseMatrix mtm = linalg::TransposeMultiply(m, m);
+  const DenseMatrix mtm = linalg::Gram(m);
   auto eig = linalg::SymmetricEigen(mtm);
   SPCA_CHECK(eig.ok());
   const size_t k = std::min(qa.cols(), qb.cols());

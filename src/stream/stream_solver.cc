@@ -167,7 +167,7 @@ Status MiniBatchEmSolver::Step(const DistMatrix& batch) {
       core::FrobeniusNormJob(engine_, batch, mean_, /*efficient=*/true);
 
   // E-step driver algebra — identical to the batch EM iteration.
-  DenseMatrix m = linalg::TransposeMultiply(c_, c_);
+  DenseMatrix m = linalg::Gram(c_);
   m.AddScaledIdentity(ss_);
   auto m_inverse = linalg::Inverse(m);
   if (!m_inverse.ok()) return m_inverse.status();
@@ -205,8 +205,7 @@ Status MiniBatchEmSolver::Step(const DistMatrix& batch) {
   if (!c_new.ok()) return c_new.status();
   engine_->CountDriverFlops(2ull * d * d * d + 2ull * dim_ * d * d);
 
-  const DenseMatrix ctc =
-      linalg::TransposeMultiply(c_new.value(), c_new.value());
+  const DenseMatrix ctc = linalg::Gram(c_new.value());
   double ss2 = 0.0;
   for (size_t a = 0; a < d; ++a) {
     for (size_t q = 0; q < d; ++q) ss2 += xtx_hat(a, q) * ctc(q, a);
