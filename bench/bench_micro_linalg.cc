@@ -1,9 +1,10 @@
 // Micro-benchmarks for the linear-algebra kernels underlying every PCA
 // method in the repository: dense GEMM variants, the broadcast-style
 // row-times-matrix product (Section 3.3's in-memory multiplication),
-// sparse row products, the EM driver step's D x d products (SolveRight,
-// Gram, OrthonormalizeColumns), and the small-matrix decompositions the
-// drivers run (Cholesky solve, symmetric eigen, SVD).
+// sparse row products, the dense EM task step per row and in row blocks,
+// the EM driver step's D x d products (SolveRight, Gram,
+// OrthonormalizeColumns), and the small-matrix decompositions the drivers
+// run (Cholesky solve, symmetric eigen, SVD).
 
 #include <benchmark/benchmark.h>
 
@@ -194,6 +195,73 @@ void BM_KernelDenseOuterProduct(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * dim * 50);
 }
 BENCHMARK(BM_KernelDenseOuterProduct)->Arg(2000);
+
+// One partition's dense EM task step at the fit_spectra shape (22 rows of
+// a 8000-wide Y against the 8000 x 100 CM, C and YtX partial): per-row
+// kernels versus the k-chunked row-block kernels that replaced them in
+// core/jobs.cc. Args: rows, D, d.
+struct TaskShape {
+  explicit TaskShape(const benchmark::State& state)
+      : y(Random(state.range(0), state.range(1), 20)),
+        b(Random(state.range(1), state.range(2), 21)),
+        x(Random(state.range(0), state.range(2), 22)),
+        out(state.range(0), state.range(2)),
+        partial(state.range(1), state.range(2)) {}
+  DenseMatrix y, b, x, out, partial;
+};
+
+void BM_KernelPerRowGemm(benchmark::State& state) {
+  TaskShape t(state);
+  for (auto _ : state) {
+    for (size_t r = 0; r < t.y.rows(); ++r) {
+      kernels::RowGemm(t.y.RowPtr(r), t.y.cols(), t.b.data(),
+                       t.b.row_stride(), t.b.cols(), t.out.RowPtr(r));
+    }
+    benchmark::DoNotOptimize(t.out.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_KernelPerRowGemm)->Args({22, 8000, 100});
+
+void BM_KernelBlockGemm(benchmark::State& state) {
+  TaskShape t(state);
+  for (auto _ : state) {
+    kernels::BlockGemm(t.y.data(), t.y.row_stride(), t.y.rows(), t.y.cols(),
+                       t.b.data(), t.b.row_stride(), t.b.cols(), t.out.data(),
+                       t.out.row_stride(), kernels::GemmOrder::kRowGemm);
+    benchmark::DoNotOptimize(t.out.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_KernelBlockGemm)->Args({22, 8000, 100});
+
+void BM_KernelPerRowRankUpdate(benchmark::State& state) {
+  TaskShape t(state);
+  for (auto _ : state) {
+    for (size_t r = 0; r < t.y.rows(); ++r) {
+      for (size_t k = 0; k < t.y.cols(); ++k) {
+        kernels::AxpyRow(t.y(r, k), t.x.RowPtr(r), t.x.cols(),
+                         t.partial.RowPtr(k));
+      }
+    }
+    benchmark::DoNotOptimize(t.partial.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_KernelPerRowRankUpdate)->Args({22, 8000, 100});
+
+void BM_KernelBlockRankUpdate(benchmark::State& state) {
+  TaskShape t(state);
+  for (auto _ : state) {
+    kernels::BlockRankUpdate(t.y.data(), t.y.row_stride(), t.y.rows(),
+                             t.y.cols(), t.x.data(), t.x.row_stride(),
+                             t.x.cols(), t.partial.data(),
+                             t.partial.row_stride());
+    benchmark::DoNotOptimize(t.partial.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_KernelBlockRankUpdate)->Args({22, 8000, 100});
 
 void BM_Multiply(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));

@@ -1,5 +1,6 @@
 #include "core/jobs.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <memory>
@@ -42,6 +43,46 @@ uint64_t ComputeXRow(const DistMatrix& y, size_t i, const DenseMatrix& cm,
   linalg::kernels::RowGemm(dense_scratch->data(), dim, cm.data(),
                            cm.row_stride(), d, x_row->data());
   return 2ull * dim * d + dim;
+}
+
+/// Rows per block of the row-block paths: a block's X (and ss3's C'*Y')
+/// rows and BlockGemm's per-row chain state stay in L1/L2, and each block
+/// sweeps CM, C and the YtX partial once instead of once per row.
+constexpr size_t kRowBlock = 32;
+
+/// Writes X rows [begin, end) to `out` from row `out_row` on: copied from
+/// the materialized X, else computed. Dense rows under mean propagation
+/// take one k-chunked product for the whole block (the RowTimesMatrix
+/// bits); every other row goes through ComputeXRow. Returns flops spent.
+uint64_t ComputeXBlock(const DistMatrix& y, size_t begin, size_t end,
+                       const DenseMatrix& cm, const DenseVector& ym,
+                       const DenseVector& xm,
+                       const DenseMatrix* materialized_x,
+                       bool mean_propagation, DenseVector* dense_scratch,
+                       DenseVector* x_row, DenseMatrix* out, size_t out_row) {
+  const size_t d = cm.cols();
+  if (materialized_x != nullptr) {
+    std::memcpy(out->RowPtr(out_row), materialized_x->RowPtr(begin),
+                (end - begin) * d * sizeof(double));
+    return 0;
+  }
+  if (mean_propagation && !y.is_sparse()) {
+    y.RowsTimesMatrix(begin, end, cm, linalg::kernels::GemmOrder::kRowGemm,
+                      out, out_row);
+    for (size_t r = out_row; r < out_row + (end - begin); ++r) {
+      double* row = out->RowPtr(r);
+      for (size_t j = 0; j < d; ++j) row[j] -= xm[j];
+    }
+    return (end - begin) * (2ull * y.cols() * d + d);
+  }
+  uint64_t flops = 0;
+  for (size_t i = begin; i < end; ++i) {
+    flops += ComputeXRow(y, i, cm, ym, xm, mean_propagation, dense_scratch,
+                         x_row);
+    std::memcpy(out->RowPtr(out_row + (i - begin)), x_row->data(),
+                d * sizeof(double));
+  }
+  return flops;
 }
 
 /// Bytes one partition's YtX/XtX partial results occupy on the wire. On
@@ -165,10 +206,11 @@ DenseMatrix MaterializeXJob(Engine* engine, const DistMatrix& y,
         DenseVector x_row(d);
         DenseVector dense_scratch(toggles.mean_propagation ? 0 : y.cols());
         uint64_t flops = 0;
-        for (size_t i = range.begin; i < range.end; ++i) {
-          flops += ComputeXRow(y, i, cm, ym, xm, toggles.mean_propagation,
-                               &dense_scratch, &x_row);
-          std::memcpy(x.RowPtr(i), x_row.data(), d * sizeof(double));
+        for (size_t b0 = range.begin; b0 < range.end; b0 += kRowBlock) {
+          const size_t b1 = std::min(range.end, b0 + kRowBlock);
+          flops += ComputeXBlock(y, b0, b1, cm, ym, xm, nullptr,
+                                 toggles.mean_propagation, &dense_scratch,
+                                 &x_row, &x, b0);
         }
         ctx->CountFlops(flops);
         // X is intermediate data: written out for the consumer jobs.
@@ -200,35 +242,38 @@ YtXPartial RunYtXPartition(const DistMatrix& y, const RowRange& range,
   partial.xc_sum = DenseVector(d);
   if (want_xtx) partial.xtx = DenseMatrix(d, d);
   if (want_ytx) partial.ytx = DenseMatrix(dim, d);
-  std::vector<uint8_t> touched(want_ytx ? dim : 0, 0);
+  // Dense rows under mean propagation add a whole block into the YtX
+  // partial at once; sparse rows record which partial rows they touch.
+  const bool block_ytx = want_ytx && toggles.mean_propagation && !y.is_sparse();
+  std::vector<uint8_t> touched(want_ytx && !block_ytx ? dim : 0, 0);
 
   DenseVector x_row(d);
   DenseVector dense_scratch(toggles.mean_propagation ? 0 : dim);
+  DenseMatrix x_blk(std::min(kRowBlock, range.size()), d);
   uint64_t flops = 0;
-  for (size_t i = range.begin; i < range.end; ++i) {
-    if (materialized_x != nullptr) {
-      std::memcpy(x_row.data(), materialized_x->RowPtr(i),
-                  d * sizeof(double));
-    } else {
-      flops += ComputeXRow(y, i, cm, ym, xm, toggles.mean_propagation,
-                           &dense_scratch, &x_row);
-    }
-    partial.xc_sum.Add(x_row);
-    if (want_xtx) {
-      // Upper triangle only; mirrored once after the row loop. The flop
-      // count stays the cost model's full 2*d*d — the model charges the
-      // algorithmic work, not this implementation's execution speed.
-      linalg::kernels::SymRank1Update(x_row.data(), d, partial.xtx.data(),
-                                      partial.xtx.row_stride());
-      flops += 2ull * d * d;
-    }
-    if (want_ytx) {
+  for (size_t b0 = range.begin; b0 < range.end; b0 += kRowBlock) {
+    const size_t b1 = std::min(range.end, b0 + kRowBlock);
+    flops += ComputeXBlock(y, b0, b1, cm, ym, xm, materialized_x,
+                           toggles.mean_propagation, &dense_scratch, &x_row,
+                           &x_blk, 0);
+    for (size_t i = b0; i < b1; ++i) {
+      const double* x_i = x_blk.RowPtr(i - b0);
+      linalg::kernels::AddRow(x_i, d, partial.xc_sum.data());
+      if (want_xtx) {
+        // Upper triangle only; mirrored once after the row loop. The flop
+        // count stays the cost model's full 2*d*d — the model charges the
+        // algorithmic work, not this implementation's execution speed.
+        linalg::kernels::SymRank1Update(x_i, d, partial.xtx.data(),
+                                        partial.xtx.row_stride());
+        flops += 2ull * d * d;
+      }
+      if (!want_ytx || block_ytx) continue;
       if (toggles.mean_propagation) {
         // Sparse outer product Y_i' (x) x_row; the -Ym (x) sum(Xc) term is
         // applied once on the driver.
         y.ForEachEntry(i, [&](size_t k, double v) {
           touched[k] = 1;
-          linalg::kernels::AxpyRow(v, x_row.data(), d, partial.ytx.RowPtr(k));
+          linalg::kernels::AxpyRow(v, x_i, d, partial.ytx.RowPtr(k));
         });
         flops += 2ull * y.RowNnz(i) * d;
       } else {
@@ -236,11 +281,17 @@ YtXPartial RunYtXPartition(const DistMatrix& y, const RowRange& range,
         for (size_t k = 0; k < dim; ++k) dense_scratch[k] = -ym[k];
         y.ForEachEntry(i,
                        [&](size_t k, double v) { dense_scratch[k] += v; });
-        linalg::kernels::Rank1Update(dense_scratch.data(), dim, x_row.data(),
-                                     d, partial.ytx.data(),
+        linalg::kernels::Rank1Update(dense_scratch.data(), dim, x_i, d,
+                                     partial.ytx.data(),
                                      partial.ytx.row_stride());
         flops += 2ull * dim * d + dim;
       }
+    }
+    if (block_ytx) {
+      // Y_blk' (x) X_blk, the rows added in order: the sparse branch's
+      // AxpyRow per entry, with one pass over the D x d partial per block.
+      y.AddRowsOuterProduct(b0, b1, x_blk, &partial.ytx);
+      flops += (b1 - b0) * 2ull * dim * d;
     }
   }
   if (want_xtx) {
@@ -249,7 +300,7 @@ YtXPartial RunYtXPartition(const DistMatrix& y, const RowRange& range,
   }
   if (want_ytx) {
     for (uint8_t t : touched) partial.touched_rows += t;
-    if (!toggles.mean_propagation) partial.touched_rows = dim;
+    if (block_ytx || !toggles.mean_propagation) partial.touched_rows = dim;
   }
   ctx->CountFlops(flops);
   return partial;
@@ -310,21 +361,35 @@ YtXResult YtXJob(Engine* engine, const DistMatrix& y, const DenseVector& ym,
   const auto& xtx_source =
       toggles.consolidate_jobs ? ytx_partials : xtx_partials;
   for (const auto& p : xtx_source) result.xtx.Add(p->xtx);
-  for (const auto& p : ytx_partials) {
-    result.ytx.Add(p->ytx);
-    xc_sum.Add(p->xc_sum);
-  }
-  if (toggles.mean_propagation) {
-    // YtX = sum_i Y_i' (x) Xc_i  -  Ym (x) sum_i Xc_i  (mean propagation).
-    // AxpyRow with -m: (-m)*s and then adding is bit-identical to
-    // subtracting m*s (IEEE negation is exact).
-    for (size_t k = 0; k < dim; ++k) {
-      const double m = ym[k];
-      if (m == 0.0) continue;
-      linalg::kernels::AxpyRow(-m, xc_sum.data(), d, result.ytx.RowPtr(k));
-    }
-    engine->CountDriverFlops(2ull * dim * d);
-  }
+  for (const auto& p : ytx_partials) xc_sum.Add(p->xc_sum);
+  // YtX = sum_i Y_i' (x) Xc_i  -  Ym (x) sum_i Xc_i  (mean propagation).
+  // The D x d merge runs in row blocks on the pool: each block adds the
+  // partials in partition order, then applies the fix-up to its own rows,
+  // so every element sees the same operations for any block count. The
+  // blocks are walked in slices of about 32 KB so the output slice stays
+  // in L1 while the partials stream through it. AxpyRow with -m: (-m)*s
+  // and then adding is bit-identical to subtracting m*s (IEEE negation is
+  // exact).
+  const size_t slice_rows = std::max<size_t>(1, 4096 / d);
+  engine->DriverForRowBlocks(
+      dim, engine->DriverParts(uint64_t{ytx_partials.size()} * dim * d),
+      [&](size_t begin, size_t end) {
+        for (size_t s0 = begin; s0 < end; s0 += slice_rows) {
+          const size_t s1 = std::min(end, s0 + slice_rows);
+          double* out = result.ytx.RowPtr(s0);
+          for (const auto& p : ytx_partials) {
+            linalg::kernels::AddRow(p->ytx.RowPtr(s0), (s1 - s0) * d, out);
+          }
+          if (!toggles.mean_propagation) continue;
+          for (size_t k = s0; k < s1; ++k) {
+            const double m = ym[k];
+            if (m == 0.0) continue;
+            linalg::kernels::AxpyRow(-m, xc_sum.data(), d,
+                                     result.ytx.RowPtr(k));
+          }
+        }
+      });
+  if (toggles.mean_propagation) engine->CountDriverFlops(2ull * dim * d);
   engine->CountDriverFlops(ytx_partials.size() * (dim * d + d * d));
   return result;
 }
@@ -350,6 +415,10 @@ double Ss3Job(Engine* engine, const DistMatrix& y, const DenseVector& ym,
     engine->CountDriverFlops(2ull * dim * d);
   }
 
+  // Dense rows under mean propagation compute a block's C' * Y_i' rows at
+  // once, in the sparse branch's AxpyRow-per-entry order.
+  const bool block_v = toggles.ss3_associativity &&
+                       toggles.mean_propagation && !y.is_sparse();
   auto partials = engine->RunMap<double>(
       dist::JobDesc{"ss3Job", "em_iteration"}, y,
       [&](const RowRange& range, TaskContext* ctx) {
@@ -357,48 +426,62 @@ double Ss3Job(Engine* engine, const DistMatrix& y, const DenseVector& ym,
         DenseVector v(d);
         DenseVector dense_scratch(toggles.mean_propagation ? 0 : dim);
         DenseVector u(toggles.ss3_associativity ? 0 : dim);
+        const size_t block_rows = std::min(kRowBlock, range.size());
+        DenseMatrix x_blk(block_rows, d);
+        DenseMatrix v_blk(block_v ? block_rows : 0, d);
         double sum = 0.0;
         uint64_t flops = 0;
-        for (size_t i = range.begin; i < range.end; ++i) {
-          if (materialized_x != nullptr) {
-            std::memcpy(x_row.data(), materialized_x->RowPtr(i),
-                        d * sizeof(double));
-          } else {
-            flops += ComputeXRow(y, i, cm, ym, xm, toggles.mean_propagation,
-                                 &dense_scratch, &x_row);
+        for (size_t b0 = range.begin; b0 < range.end; b0 += kRowBlock) {
+          const size_t b1 = std::min(range.end, b0 + kRowBlock);
+          flops += ComputeXBlock(y, b0, b1, cm, ym, xm, materialized_x,
+                                 toggles.mean_propagation, &dense_scratch,
+                                 &x_row, &x_blk, 0);
+          if (block_v) {
+            y.RowsTimesMatrix(b0, b1, c, linalg::kernels::GemmOrder::kAxpyRow,
+                              &v_blk);
           }
-          if (toggles.ss3_associativity) {
-            // Efficient order (Equation 3): v = C' * Yc_i', then X_i . v.
-            if (toggles.mean_propagation) {
-              v.SetZero();
-              y.ForEachEntry(i, [&](size_t k, double val) {
-                linalg::kernels::AxpyRow(val, c.RowPtr(k), d, v.data());
-              });
-              v.Subtract(ctym);
-              flops += 2ull * y.RowNnz(i) * d + d;
+          for (size_t i = b0; i < b1; ++i) {
+            std::memcpy(x_row.data(), x_blk.RowPtr(i - b0),
+                        d * sizeof(double));
+            if (toggles.ss3_associativity) {
+              // Efficient order (Equation 3): v = C' * Yc_i', then X_i . v.
+              if (toggles.mean_propagation) {
+                if (block_v) {
+                  std::memcpy(v.data(), v_blk.RowPtr(i - b0),
+                              d * sizeof(double));
+                } else {
+                  v.SetZero();
+                  y.ForEachEntry(i, [&](size_t k, double val) {
+                    linalg::kernels::AxpyRow(val, c.RowPtr(k), d, v.data());
+                  });
+                }
+                v.Subtract(ctym);
+                flops += 2ull * y.RowNnz(i) * d + d;
+              } else {
+                for (size_t k = 0; k < dim; ++k) dense_scratch[k] = -ym[k];
+                y.ForEachEntry(
+                    i, [&](size_t k, double val) { dense_scratch[k] += val; });
+                v.SetZero();
+                linalg::kernels::RowGemm(dense_scratch.data(), dim, c.data(),
+                                         c.row_stride(), d, v.data());
+                flops += 2ull * dim * d + dim;
+              }
+              sum += x_row.Dot(v);
+              flops += 2ull * d;
             } else {
-              for (size_t k = 0; k < dim; ++k) dense_scratch[k] = -ym[k];
-              y.ForEachEntry(
-                  i, [&](size_t k, double val) { dense_scratch[k] += val; });
-              v.SetZero();
-              linalg::kernels::RowGemm(dense_scratch.data(), dim, c.data(),
-                                       c.row_stride(), d, v.data());
-              flops += 2ull * dim * d + dim;
+              // Inefficient order: u = X_i * C' (a dense D-vector) first.
+              for (size_t k = 0; k < dim; ++k) {
+                u[k] = linalg::kernels::DotRow(x_row.data(), c.RowPtr(k), d);
+              }
+              flops += 2ull * dim * d;
+              // Then u . Yc_i' (mean-propagated or dense).
+              double dot = 0.0;
+              y.ForEachEntry(i,
+                             [&](size_t k, double val) { dot += u[k] * val; });
+              for (size_t k = 0; k < dim; ++k) dot -= u[k] * ym[k];
+              flops += 2ull * (y.RowNnz(i) + dim);
+              sum += dot;
             }
-            sum += x_row.Dot(v);
-            flops += 2ull * d;
-          } else {
-            // Inefficient order: u = X_i * C' (a dense D-vector) first.
-            for (size_t k = 0; k < dim; ++k) {
-              u[k] = linalg::kernels::DotRow(x_row.data(), c.RowPtr(k), d);
-            }
-            flops += 2ull * dim * d;
-            // Then u . Yc_i' (mean-propagated or dense).
-            double dot = 0.0;
-            y.ForEachEntry(i, [&](size_t k, double val) { dot += u[k] * val; });
-            for (size_t k = 0; k < dim; ++k) dot -= u[k] * ym[k];
-            flops += 2ull * (y.RowNnz(i) + dim);
-            sum += dot;
           }
         }
         ctx->CountFlops(flops);

@@ -61,25 +61,6 @@ uint64_t ThresholdLoadings(DenseMatrix* c, double threshold) {
   return nnz;
 }
 
-/// Driver products below this many multiply-adds (D * d * d) run inline:
-/// a pool dispatch costs tens of microseconds.
-constexpr size_t kMinParallelWork = size_t{1} << 16;
-
-/// How many row blocks the driver's D x d products split into.
-size_t DriverParts(const dist::Engine& engine, size_t dim, size_t d) {
-  return std::clamp<size_t>(dim * d * d / kMinParallelWork, 1,
-                            engine.LocalThreads());
-}
-
-/// fn(begin, end) over `parts` contiguous blocks of [0, rows), on the
-/// engine's pool.
-void ForRowBlocks(dist::Engine* engine, size_t rows, size_t parts,
-                  const std::function<void(size_t, size_t)>& fn) {
-  engine->DriverParallelFor(parts, [&](size_t p) {
-    fn(rows * p / parts, rows * (p + 1) / parts);
-  });
-}
-
 /// C'C with the triangle's output rows split across the engine's pool.
 DenseMatrix DriverGram(dist::Engine* engine, const DenseMatrix& c,
                        size_t parts) {
@@ -277,7 +258,7 @@ StatusOr<SolveResult> Spca::RunEm(
 
   // The driver's D x d products run in row blocks on the engine's pool;
   // every output row sees the same operations for any block count.
-  const size_t parts = DriverParts(*engine_, dim, d);
+  const size_t parts = engine_->DriverParts(uint64_t{dim} * d * d);
   // C'C of the current C. Each iteration's ss2 step computes it for the
   // next one, so only the first is computed here (a resumed run starts
   // from its restored C, as a fresh one does).
@@ -294,7 +275,7 @@ StatusOr<SolveResult> Spca::RunEm(
     auto m_inverse = linalg::Inverse(m);
     if (!m_inverse.ok()) return m_inverse.status();
     DenseMatrix cm(dim, d);  // C * M^-1
-    ForRowBlocks(engine_, dim, parts, [&](size_t begin, size_t end) {
+    engine_->DriverForRowBlocks(dim, parts, [&](size_t begin, size_t end) {
       linalg::MultiplyRows(c, m_inverse.value(), begin, end, &cm);
     });
     DenseVector xm(d);
@@ -329,7 +310,7 @@ StatusOr<SolveResult> Spca::RunEm(
     auto xtx_lu = linalg::LuFactor(ytx_result.xtx.Transpose());
     if (!xtx_lu.ok()) return xtx_lu.status();
     DenseMatrix c_new = std::move(ytx_result.ytx);  // solved in place
-    ForRowBlocks(engine_, dim, parts, [&](size_t begin, size_t end) {
+    engine_->DriverForRowBlocks(dim, parts, [&](size_t begin, size_t end) {
       linalg::LuSolveRows(xtx_lu.value(), &c_new, begin, end);
     });
     engine_->CountDriverFlops(2ull * d * d * d + 2ull * dim * d * d);

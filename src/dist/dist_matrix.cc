@@ -102,6 +102,40 @@ void DistMatrix::AddRowOuterProduct(size_t i, const DenseVector& x,
   }
 }
 
+void DistMatrix::RowsTimesMatrix(size_t begin, size_t end,
+                                 const DenseMatrix& b,
+                                 linalg::kernels::GemmOrder order,
+                                 DenseMatrix* out, size_t out_row) const {
+  SPCA_CHECK(!is_sparse());
+  SPCA_CHECK_LE(begin, end);
+  SPCA_CHECK_LE(end, rows_);
+  SPCA_CHECK_EQ(b.rows(), cols_);
+  SPCA_CHECK_EQ(out->cols(), b.cols());
+  SPCA_CHECK_LE(out_row + (end - begin), out->rows());
+  if (begin == end) return;
+  double* c = out->RowPtr(out_row);
+  std::fill(c, c + (end - begin) * out->row_stride(), 0.0);
+  linalg::kernels::BlockGemm(dense_->RowPtr(begin), dense_->row_stride(),
+                             end - begin, cols_, b.data(), b.row_stride(),
+                             b.cols(), c, out->row_stride(), order);
+}
+
+void DistMatrix::AddRowsOuterProduct(size_t begin, size_t end,
+                                     const DenseMatrix& x,
+                                     DenseMatrix* out) const {
+  SPCA_CHECK(!is_sparse());
+  SPCA_CHECK_LE(begin, end);
+  SPCA_CHECK_LE(end, rows_);
+  SPCA_CHECK_LE(end - begin, x.rows());
+  SPCA_CHECK_EQ(out->rows(), cols_);
+  SPCA_CHECK_EQ(out->cols(), x.cols());
+  if (begin == end) return;
+  linalg::kernels::BlockRankUpdate(dense_->RowPtr(begin), dense_->row_stride(),
+                                   end - begin, cols_, x.data(),
+                                   x.row_stride(), x.cols(), out->data(),
+                                   out->row_stride());
+}
+
 double DistMatrix::RowDot(size_t i, const DenseVector& v) const {
   SPCA_CHECK_EQ(v.size(), cols_);
   if (is_sparse()) return sparse_->Row(i).Dot(v);

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "linalg/dense_matrix.h"
+#include "linalg/kernel_dispatch.h"
 #include "linalg/sparse_matrix.h"
 
 namespace spca::dist {
@@ -77,6 +78,27 @@ class DistMatrix {
   /// the d-dim row vector x). Touches only stored entries of the row.
   void AddRowOuterProduct(size_t i, const linalg::DenseVector& x,
                           linalg::DenseMatrix* out) const;
+
+  /// Row-block forms of the two calls above, for dense storage only
+  /// (CHECKs; sparse rows keep the per-row calls). They run the k-chunked
+  /// linalg::kernels::BlockGemm / BlockRankUpdate, which give the per-row
+  /// bits at one pass over `b` / `out` per block instead of one per row.
+  ///
+  /// Rows out_row .. out_row + (end - begin) of `out` = Y_i * B for i in
+  /// [begin, end), overwritten. kRowGemm order matches RowTimesMatrix per
+  /// row; kAxpyRow matches adding AxpyRow(Y_ik, B_k) for every k of the
+  /// row into a zeroed vector.
+  void RowsTimesMatrix(size_t begin, size_t end, const linalg::DenseMatrix& b,
+                       linalg::kernels::GemmOrder order,
+                       linalg::DenseMatrix* out, size_t out_row = 0) const;
+
+  /// out += sum over i in [begin, end) of Y_i' (x) x_(i - begin): per
+  /// element AxpyRow(Y_ik, x_(i - begin), out_k) for every k of row begin,
+  /// then begin + 1, ... (no zero skip, unlike AddRowOuterProduct's dense
+  /// path).
+  void AddRowsOuterProduct(size_t begin, size_t end,
+                           const linalg::DenseMatrix& x,
+                           linalg::DenseMatrix* out) const;
 
   /// Dot product of row i with a dense vector of size cols().
   double RowDot(size_t i, const linalg::DenseVector& v) const;

@@ -110,6 +110,19 @@ void Engine::DriverParallelFor(size_t parts,
   pool_->Run(parts, fn);
 }
 
+size_t Engine::DriverParts(uint64_t work) const {
+  constexpr uint64_t kMinParallelWork = uint64_t{1} << 16;
+  return static_cast<size_t>(
+      std::clamp<uint64_t>(work / kMinParallelWork, 1, LocalThreads()));
+}
+
+void Engine::DriverForRowBlocks(size_t rows, size_t parts,
+                                const std::function<void(size_t, size_t)>& fn) {
+  DriverParallelFor(parts, [&](size_t p) {
+    fn(rows * p / parts, rows * (p + 1) / parts);
+  });
+}
+
 Status Engine::AllocateDriverMemory(const std::string& what, uint64_t bytes) {
   if (static_cast<double>(driver_memory_) + static_cast<double>(bytes) >
       spec_.driver_memory_bytes) {

@@ -201,6 +201,16 @@ class Engine {
   /// giving each part whole output rows.
   void DriverParallelFor(size_t parts, const std::function<void(size_t)>& fn);
 
+  /// How many row blocks `work` multiply-adds of driver algebra split
+  /// into: one per 2^16 (smaller products run inline; a pool dispatch
+  /// costs tens of microseconds), at most LocalThreads().
+  size_t DriverParts(uint64_t work) const;
+
+  /// DriverParallelFor over `parts` contiguous blocks of [0, rows):
+  /// fn(begin, end) per block.
+  void DriverForRowBlocks(size_t rows, size_t parts,
+                          const std::function<void(size_t, size_t)>& fn);
+
   /// Reserves driver memory; fails with OUT_OF_MEMORY when the driver's
   /// budget would be exceeded (this is how the MLlib-PCA baseline fails for
   /// D > ~6,000 in Figures 7/8). `what` names the allocation for the error

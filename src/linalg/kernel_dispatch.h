@@ -22,7 +22,11 @@
 //                        ulps (see the two golden tiers in kernels.h);
 //                        AddRow and LuSolveRows are exact.
 //   kernels::neon::*     NEON (aarch64), same numerical caveats as AVX2;
-//                        its table points LuSolveRows at the scalar twin.
+//                        its table points LuSolveRows at the scalar twin,
+//                        and its BlockGemm / BlockRankUpdate are plain
+//                        per-row loops over its own RowGemm / AxpyRow (no
+//                        k-chunking yet), so they match NEON's per-row
+//                        bits rather than the scalar twins'.
 //
 // The public kernels in kernels.h forward through a function-pointer
 // table resolved exactly once per process:
@@ -42,6 +46,19 @@
 namespace spca::linalg::kernels {
 
 enum class Isa { kScalar = 0, kAvx2 = 1, kNeon = 2 };
+
+/// The per-row kernel whose per-element operation order BlockGemm
+/// reproduces: one RowGemm per row, or one AxpyRow per entry of the row.
+enum class GemmOrder { kRowGemm, kAxpyRow };
+
+/// Rows of `b` in one BlockGemm k-chunk: about 256 KB, so the chunk stays
+/// in L2 while every row of the block sweeps it. A multiple of 4, because
+/// the AVX2 four-chain stripes assign k steps to chains by kk mod 4.
+inline size_t BlockGemmChunkRows(size_t n) {
+  constexpr size_t kChunkBytes = size_t{256} << 10;
+  const size_t rows = kChunkBytes / (sizeof(double) * (n == 0 ? 1 : n));
+  return rows < 4 ? 4 : rows & ~size_t{3};
+}
 
 /// The ISA the function-pointer table resolved to (resolves on first
 /// call). Stable for the lifetime of the process.
@@ -73,7 +90,13 @@ bool IsaAvailable(Isa isa);
   void RowGemm(const double* a_row, size_t k, const double* b,               \
                size_t b_stride, size_t n, double* c_row);                    \
   void LuSolveRows(const double* lu, const size_t* perm, size_t n,           \
-                   double* x, size_t stride, size_t rows);
+                   double* x, size_t stride, size_t rows);                   \
+  void BlockGemm(const double* a, size_t a_stride, size_t rows, size_t k,    \
+                 const double* b, size_t b_stride, size_t n, double* c,      \
+                 size_t c_stride, GemmOrder order);                          \
+  void BlockRankUpdate(const double* a, size_t a_stride, size_t rows,        \
+                       size_t k, const double* x, size_t x_stride, size_t n, \
+                       double* p, size_t p_stride);
 
 namespace scalar {
 SPCA_KERNEL_SIGNATURES

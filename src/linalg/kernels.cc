@@ -28,12 +28,17 @@ struct KernelTable {
                    double*);
   void (*lu_solve_rows)(const double*, const size_t*, size_t, double*, size_t,
                         size_t);
+  void (*block_gemm)(const double*, size_t, size_t, size_t, const double*,
+                     size_t, size_t, double*, size_t, GemmOrder);
+  void (*block_rank_update)(const double*, size_t, size_t, size_t,
+                            const double*, size_t, size_t, double*, size_t);
 };
 
 constexpr KernelTable kScalarTable = {
     Isa::kScalar,          scalar::AxpyRow,     scalar::AddRow,
     scalar::DotRow,        scalar::Rank1Update, scalar::SymRank1Update,
     scalar::SparseRowGemv, scalar::RowGemm,     scalar::LuSolveRows,
+    scalar::BlockGemm,     scalar::BlockRankUpdate,
 };
 
 #if defined(SPCA_KERNELS_HAVE_AVX2)
@@ -41,6 +46,7 @@ constexpr KernelTable kAvx2Table = {
     Isa::kAvx2,          avx2::AxpyRow,     avx2::AddRow,
     avx2::DotRow,        avx2::Rank1Update, avx2::SymRank1Update,
     avx2::SparseRowGemv, avx2::RowGemm,     avx2::LuSolveRows,
+    avx2::BlockGemm,     avx2::BlockRankUpdate,
 };
 #endif
 
@@ -49,6 +55,7 @@ constexpr KernelTable kNeonTable = {
     Isa::kNeon,          neon::AxpyRow,     neon::AddRow,
     neon::DotRow,        neon::Rank1Update, neon::SymRank1Update,
     neon::SparseRowGemv, neon::RowGemm,     scalar::LuSolveRows,
+    neon::BlockGemm,     neon::BlockRankUpdate,
 };
 #endif
 
@@ -197,6 +204,19 @@ void RowGemm(const double* a_row, size_t k, const double* b, size_t b_stride,
 void LuSolveRows(const double* lu, const size_t* perm, size_t n, double* x,
                  size_t stride, size_t rows) {
   Table().lu_solve_rows(lu, perm, n, x, stride, rows);
+}
+
+void BlockGemm(const double* a, size_t a_stride, size_t rows, size_t k,
+               const double* b, size_t b_stride, size_t n, double* c,
+               size_t c_stride, GemmOrder order) {
+  Table().block_gemm(a, a_stride, rows, k, b, b_stride, n, c, c_stride, order);
+}
+
+void BlockRankUpdate(const double* a, size_t a_stride, size_t rows, size_t k,
+                     const double* x, size_t x_stride, size_t n, double* p,
+                     size_t p_stride) {
+  Table().block_rank_update(a, a_stride, rows, k, x, x_stride, n, p,
+                            p_stride);
 }
 
 }  // namespace spca::linalg::kernels

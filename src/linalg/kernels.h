@@ -28,6 +28,13 @@ namespace spca::linalg::kernels {
 //    per kernel by kernels_test's SIMD-vs-scalar property suites, and
 //    end-to-end by the tolerance-tier fit golden comparison).
 //
+// BlockGemm and BlockRankUpdate reproduce, bit for bit on every ISA, the
+// per-row kernels they replace (RowGemm, AxpyRow per entry): they only
+// reorder which element is worked on when, never the operations applied
+// to one element. Under NEON dispatch they are per-row loops over NEON's
+// own RowGemm / AxpyRow (not the scalar twins, whose unfused rounding
+// would differ from NEON's per-row bits).
+//
 // Within one process the dispatched ISA never changes, so run-vs-run
 // bit-identity properties (replay == live, batched == row-at-a-time,
 // checkpoint/resume) hold on every ISA.
@@ -111,6 +118,34 @@ void RowGemm(const double* a_row, size_t k, const double* b, size_t b_stride,
 /// ISA.
 void LuSolveRows(const double* lu, const size_t* perm, size_t n, double* x,
                  size_t stride, size_t rows);
+
+/// C_blk += A_blk * B for a block of `rows` rows: c(r, j) += sum_kk
+/// a(r, kk) * b(kk, j), with a rows x k (row stride a_stride), b k x n
+/// (b_stride) and c rows x n (c_stride). `b` is swept in k-chunks of
+/// BlockGemmChunkRows(n) rows, each chunk staying in L2 while every row
+/// of the block passes over it, instead of being streamed whole once per
+/// row. Each output element keeps one accumulation chain over the whole k
+/// range (carried between chunks in a per-row buffer), so the result is
+/// bit-identical, on every ISA, to RowGemm(a_r, k, b, b_stride, n, c_r)
+/// per row (order kRowGemm: zero a(r, kk) skipped under scalar dispatch,
+/// the AVX2 stripe plan and fold into c) or to AxpyRow(a(r, kk), b_kk, n,
+/// c_r) per kk in order (kAxpyRow: no skip, the chain starts at c). Same
+/// tail-padding contract on `b` as RowGemm.
+void BlockGemm(const double* a, size_t a_stride, size_t rows, size_t k,
+               const double* b, size_t b_stride, size_t n, double* c,
+               size_t c_stride, GemmOrder order);
+
+/// P += A' * X for a block of `rows` rows: p(kk, j) += sum_r a(r, kk) *
+/// x(r, j) for kk < k, j < n, with a rows x k (a_stride), x rows x n
+/// (x_stride) and p k x n (p_stride). Each p row is loaded once and the
+/// rows of the block are added into it in order, so the result is
+/// bit-identical, on every ISA, to AxpyRow(a(r, kk), x_r, n, p_kk) for
+/// every entry of row 0, then row 1, ... (no zero skip). This is the
+/// dense YtX update Y_blk' (x) X_blk with one pass over the D x d partial
+/// per block instead of one per row.
+void BlockRankUpdate(const double* a, size_t a_stride, size_t rows, size_t k,
+                     const double* x, size_t x_stride, size_t n, double* p,
+                     size_t p_stride);
 
 }  // namespace spca::linalg::kernels
 

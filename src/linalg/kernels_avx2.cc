@@ -13,7 +13,10 @@
 // bit-identical to scalar (and is tested exactly), and LuSolveRows
 // multiplies and subtracts in separate instructions (the TU is built with
 // -ffp-contract=off so the compiler cannot fuse them), which keeps it
-// exact too.
+// exact too. BlockGemm and BlockRankUpdate are the row-block forms of
+// RowGemm and AxpyRow: the same FMAs per element in the same order, so
+// they match this TU's per-row kernels bit for bit (kernels_test memcmps
+// them).
 //
 // All loads/stores are unaligned ops (vmovupd): DenseMatrix aligns its
 // allocations to 64 bytes so the hot rows usually *are* aligned (no
@@ -27,6 +30,8 @@
 #include <immintrin.h>
 
 #include <algorithm>
+#include <array>
+#include <utility>
 #include <vector>
 
 #if defined(__GNUC__) || defined(__clang__)
@@ -600,6 +605,296 @@ void LuSolveRows(const double* lu, const size_t* perm, size_t n, double* x,
   for (; r < rows; r += 4) {
     LuSolveRowBlock<1>(lu, perm, n, x + r * stride, stride,
                        std::min<size_t>(4, rows - r), blk.data());
+  }
+}
+
+namespace {
+
+// ---- BlockGemm ---------------------------------------------------------
+//
+// RowGemm keeps each column stripe of one c row in registers for the whole
+// k sweep, so b is streamed once per row. BlockGemm sweeps b in L2-sized
+// k-chunks instead, running every row of the block over a chunk before
+// moving on; between chunks each row's stripe accumulators wait in a
+// small per-row state buffer. An element's chain is the one RowGemm runs
+// (same start, same FMAs in the same k order, same fold into c), only
+// paused at chunk boundaries.
+
+// Advances one single-chain stripe (NV whole vectors plus, with kHasRem, a
+// tail vector whose surplus lanes over-read b and are never folded back)
+// over a chunk of kc steps; `state` holds its NV (+1) accumulators.
+template <int NV, bool kHasRem>
+void WideChunk(const double* SPCA_RESTRICT a, size_t kc,
+               const double* SPCA_RESTRICT b, size_t b_stride,
+               double* SPCA_RESTRICT state) {
+  static_assert(NV >= 0 && NV <= 12, "more than 12 vectors cannot stay "
+                                     "register-resident");
+  constexpr size_t kPrefetchRows = 4;
+  constexpr int kPrefetchSpan = NV * 32 + (kHasRem ? 32 : 0);
+  __m256d acc[NV > 0 ? NV : 1];
+  for (int v = 0; v < NV; ++v) acc[v] = _mm256_loadu_pd(state + 4 * v);
+  __m256d accr =
+      kHasRem ? _mm256_loadu_pd(state + 4 * NV) : _mm256_setzero_pd();
+  for (size_t kk = 0; kk < kc; ++kk) {
+    if (kk + kPrefetchRows < kc) {
+      const char* next =
+          reinterpret_cast<const char*>(b + (kk + kPrefetchRows) * b_stride);
+      for (int off = 0; off <= kPrefetchSpan; off += 64) {
+        _mm_prefetch(next + off, _MM_HINT_T0);
+      }
+    }
+    const __m256d vv = _mm256_set1_pd(a[kk]);
+    const double* row = b + kk * b_stride;
+    for (int v = 0; v < NV; ++v) {
+      acc[v] = _mm256_fmadd_pd(vv, _mm256_loadu_pd(row + 4 * v), acc[v]);
+    }
+    if constexpr (kHasRem) {
+      accr = _mm256_fmadd_pd(vv, _mm256_loadu_pd(row + 4 * NV), accr);
+    }
+  }
+  for (int v = 0; v < NV; ++v) _mm256_storeu_pd(state + 4 * v, acc[v]);
+  if constexpr (kHasRem) _mm256_storeu_pd(state + 4 * NV, accr);
+}
+
+// RowGemmStripeNarrow over a chunk: four chains over one 4-column vector,
+// chain kk % 4 taking step kk. Chunks are multiples of 4 long except the
+// last, so the chains and RowGemm's k tail (into chain 0) are unchanged.
+void NarrowChunk(const double* SPCA_RESTRICT a, size_t kc,
+                 const double* SPCA_RESTRICT b, size_t b_stride,
+                 double* SPCA_RESTRICT state) {
+  __m256d a0 = _mm256_loadu_pd(state);
+  __m256d a1 = _mm256_loadu_pd(state + 4);
+  __m256d a2 = _mm256_loadu_pd(state + 8);
+  __m256d a3 = _mm256_loadu_pd(state + 12);
+  size_t kk = 0;
+  for (; kk + 4 <= kc; kk += 4) {
+    const double* row = b + kk * b_stride;
+    a0 = _mm256_fmadd_pd(_mm256_set1_pd(a[kk]), _mm256_loadu_pd(row), a0);
+    a1 = _mm256_fmadd_pd(_mm256_set1_pd(a[kk + 1]),
+                         _mm256_loadu_pd(row + b_stride), a1);
+    a2 = _mm256_fmadd_pd(_mm256_set1_pd(a[kk + 2]),
+                         _mm256_loadu_pd(row + 2 * b_stride), a2);
+    a3 = _mm256_fmadd_pd(_mm256_set1_pd(a[kk + 3]),
+                         _mm256_loadu_pd(row + 3 * b_stride), a3);
+  }
+  for (; kk < kc; ++kk) {
+    a0 = _mm256_fmadd_pd(_mm256_set1_pd(a[kk]),
+                         _mm256_loadu_pd(b + kk * b_stride), a0);
+  }
+  _mm256_storeu_pd(state, a0);
+  _mm256_storeu_pd(state + 4, a1);
+  _mm256_storeu_pd(state + 8, a2);
+  _mm256_storeu_pd(state + 12, a3);
+}
+
+using ChunkFn = void (*)(const double*, size_t, const double*, size_t,
+                         double*);
+
+template <bool kHasRem, size_t... NV>
+constexpr std::array<ChunkFn, sizeof...(NV)> WideChunkTable(
+    std::index_sequence<NV...>) {
+  return {&WideChunk<static_cast<int>(NV), kHasRem>...};
+}
+
+constexpr auto kWideChunk =
+    WideChunkTable<false>(std::make_index_sequence<13>());
+constexpr auto kWideChunkRem =
+    WideChunkTable<true>(std::make_index_sequence<13>());
+
+// One stripe of a row's column plan and where its accumulators live.
+struct GemmStripe {
+  size_t col;    // first column
+  size_t nv;     // whole vectors (a narrow stripe has one)
+  size_t rem;    // 1-3 trailing columns in a partial vector, or 0
+  bool narrow;   // four k-chains (RowGemm's narrow stripes and n < 4)
+  size_t state;  // offset of the accumulators in the row's state
+  ChunkFn chunk;
+};
+
+// Appends a run of `vectors` single-chain vectors (plus `rem` trailing
+// columns) starting at `col`, split evenly into stripes of at most 12
+// vectors. Every lane is its own chain, so how a run is cut into stripes
+// does not change any result.
+void AddWideRun(size_t col, size_t vectors, size_t rem,
+                std::vector<GemmStripe>* plan, size_t* state) {
+  if (vectors == 0 && rem == 0) return;
+  const size_t stripes = std::max<size_t>(1, (vectors + 11) / 12);
+  for (size_t s = 0; s < stripes; ++s) {
+    const size_t nv = vectors / stripes + (s < vectors % stripes ? 1 : 0);
+    const size_t r = s + 1 == stripes ? rem : 0;
+    plan->push_back({col, nv, r, false, *state,
+                     r > 0 ? kWideChunkRem[nv] : kWideChunk[nv]});
+    col += 4 * nv;
+    *state += 4 * nv + (r > 0 ? 4 : 0);
+  }
+}
+
+void AddNarrow(size_t col, size_t rem, std::vector<GemmStripe>* plan,
+               size_t* state) {
+  plan->push_back({col, 1, rem, true, *state, &NarrowChunk});
+  *state += 16;
+}
+
+// The column plan whose chains reproduce RowGemm (its PlanStripes: wide
+// stripes, then narrow 4-column stripes, then the final stripe carrying
+// the remainder; n < 4 is one narrow stripe) or AxpyRow (single chains).
+std::vector<GemmStripe> PlanGemm(size_t n, GemmOrder order,
+                                 size_t* state_size) {
+  std::vector<GemmStripe> plan;
+  size_t state = 0;
+  const size_t rem = n % 4;
+  const size_t full = n - rem;
+  if (order == GemmOrder::kAxpyRow) {
+    AddWideRun(0, full / 4, rem, &plan, &state);
+  } else if (full == 0) {
+    if (rem > 0) AddNarrow(0, rem, &plan, &state);
+  } else {
+    const StripePlan stripes = PlanStripes(full, rem);
+    const size_t wide =
+        stripes.prefix / 48 * 48 + stripes.prefix % 48 / 16 * 16;
+    AddWideRun(0, wide / 4, 0, &plan, &state);
+    for (size_t j = wide; j < stripes.prefix; j += 4) {
+      AddNarrow(j, 0, &plan, &state);
+    }
+    AddWideRun(stripes.prefix, stripes.final_nv, rem, &plan, &state);
+  }
+  *state_size = state;
+  return plan;
+}
+
+// Writes one row's finished chains back into c: RowGemm adds each chain
+// (a narrow stripe the sum of its four) into c; AxpyRow's chains started
+// at c and replace it.
+void FoldRow(const std::vector<GemmStripe>& plan, const double* state,
+             GemmOrder order, double* c) {
+  const bool add = order == GemmOrder::kRowGemm;
+  for (const GemmStripe& s : plan) {
+    const double* st = state + s.state;
+    double* out = c + s.col;
+    if (s.narrow) {
+      const __m256d sum =
+          _mm256_add_pd(_mm256_add_pd(_mm256_loadu_pd(st),
+                                      _mm256_loadu_pd(st + 4)),
+                        _mm256_add_pd(_mm256_loadu_pd(st + 8),
+                                      _mm256_loadu_pd(st + 12)));
+      if (s.rem == 0) {
+        _mm256_storeu_pd(out, _mm256_add_pd(_mm256_loadu_pd(out), sum));
+      } else {
+        const __m256i mask = TailMask(s.rem);
+        _mm256_maskstore_pd(
+            out, mask, _mm256_add_pd(_mm256_maskload_pd(out, mask), sum));
+      }
+      continue;
+    }
+    for (size_t v = 0; v < s.nv; ++v) {
+      const __m256d acc = _mm256_loadu_pd(st + 4 * v);
+      _mm256_storeu_pd(out + 4 * v,
+                       add ? _mm256_add_pd(_mm256_loadu_pd(out + 4 * v), acc)
+                           : acc);
+    }
+    if (s.rem > 0) {
+      const __m256i mask = TailMask(s.rem);
+      const __m256d acc = _mm256_loadu_pd(st + 4 * s.nv);
+      double* tail = out + 4 * s.nv;
+      _mm256_maskstore_pd(
+          tail, mask,
+          add ? _mm256_add_pd(_mm256_maskload_pd(tail, mask), acc) : acc);
+    }
+  }
+}
+
+}  // namespace
+
+void BlockGemm(const double* a, size_t a_stride, size_t rows, size_t k,
+               const double* b, size_t b_stride, size_t n, double* c,
+               size_t c_stride, GemmOrder order) {
+  if (rows == 0 || n == 0) return;
+  size_t state_size = 0;
+  const std::vector<GemmStripe> plan = PlanGemm(n, order, &state_size);
+  // RowGemm's chains start at zero; AxpyRow's at the c element itself.
+  std::vector<double> state(rows * state_size, 0.0);
+  if (order == GemmOrder::kAxpyRow) {
+    for (size_t r = 0; r < rows; ++r) {
+      std::copy(c + r * c_stride, c + r * c_stride + n,
+                state.begin() + r * state_size);
+    }
+  }
+  const size_t chunk = BlockGemmChunkRows(n);
+  for (size_t k0 = 0; k0 < k; k0 += chunk) {
+    const size_t kc = std::min(chunk, k - k0);
+    const double* b_chunk = b + k0 * b_stride;
+    for (size_t r = 0; r < rows; ++r) {
+      const double* a_chunk = a + r * a_stride + k0;
+      double* st = state.data() + r * state_size;
+      for (const GemmStripe& s : plan) {
+        s.chunk(a_chunk, kc, b_chunk + s.col, b_stride, st + s.state);
+      }
+    }
+  }
+  for (size_t r = 0; r < rows; ++r) {
+    FoldRow(plan, state.data() + r * state_size, order, c + r * c_stride);
+  }
+}
+
+// ---- BlockRankUpdate ---------------------------------------------------
+//
+// NV vectors of one p row stay in registers while the block's rows are
+// FMA'd into them in order: per element AxpyRow's chain, with one load
+// and one store of p per block instead of one per row.
+
+template <int NV>
+void RankStripe(const double* SPCA_RESTRICT ak, size_t a_stride, size_t rows,
+                const double* SPCA_RESTRICT x, size_t x_stride,
+                double* SPCA_RESTRICT p) {
+  static_assert(NV >= 1 && NV <= 12, "more than 12 vectors cannot stay "
+                                     "register-resident");
+  __m256d acc[NV];
+  for (int v = 0; v < NV; ++v) acc[v] = _mm256_loadu_pd(p + 4 * v);
+  for (size_t r = 0; r < rows; ++r) {
+    const __m256d vv = _mm256_set1_pd(ak[r * a_stride]);
+    const double* xr = x + r * x_stride;
+    for (int v = 0; v < NV; ++v) {
+      acc[v] = _mm256_fmadd_pd(vv, _mm256_loadu_pd(xr + 4 * v), acc[v]);
+    }
+  }
+  for (int v = 0; v < NV; ++v) _mm256_storeu_pd(p + 4 * v, acc[v]);
+}
+
+using RankFn = void (*)(const double*, size_t, size_t, const double*, size_t,
+                        double*);
+
+template <size_t... I>
+constexpr std::array<RankFn, sizeof...(I)> RankStripeTable(
+    std::index_sequence<I...>) {
+  return {&RankStripe<static_cast<int>(I) + 1>...};
+}
+
+constexpr auto kRankStripe = RankStripeTable(std::make_index_sequence<12>());
+
+void BlockRankUpdate(const double* a, size_t a_stride, size_t rows, size_t k,
+                     const double* x, size_t x_stride, size_t n, double* p,
+                     size_t p_stride) {
+  if (rows == 0) return;
+  // Whole vectors split evenly into stripes of at most 12; the 1-3
+  // trailing columns run AxpyRow's scalar-FMA tail.
+  const size_t vectors = n / 4;
+  const size_t stripes = (vectors + 11) / 12;
+  for (size_t kk = 0; kk < k; ++kk) {
+    const double* ak = a + kk;
+    double* prow = p + kk * p_stride;
+    size_t col = 0;
+    for (size_t s = 0; s < stripes; ++s) {
+      const size_t nv = vectors / stripes + (s < vectors % stripes ? 1 : 0);
+      kRankStripe[nv - 1](ak, a_stride, rows, x + col, x_stride, prow + col);
+      col += 4 * nv;
+    }
+    for (; col < n; ++col) {
+      double acc = prow[col];
+      for (size_t r = 0; r < rows; ++r) {
+        acc = __builtin_fma(ak[r * a_stride], x[r * x_stride + col], acc);
+      }
+      prow[col] = acc;
+    }
   }
 }
 

@@ -182,6 +182,37 @@ void RowGemm(const double* a_row, size_t k, const double* b, size_t b_stride,
   }
 }
 
+// Per-row loops over this TU's own RowGemm / AxpyRow: NEON dispatch stays
+// bit-identical to the per-row code. A k-chunked twin, which would carry
+// the stripe accumulators between chunks as the AVX2 one does, waits for
+// aarch64 hardware to measure it on.
+void BlockGemm(const double* a, size_t a_stride, size_t rows, size_t k,
+               const double* b, size_t b_stride, size_t n, double* c,
+               size_t c_stride, GemmOrder order) {
+  for (size_t r = 0; r < rows; ++r) {
+    const double* a_row = a + r * a_stride;
+    double* c_row = c + r * c_stride;
+    if (order == GemmOrder::kRowGemm) {
+      RowGemm(a_row, k, b, b_stride, n, c_row);
+    } else {
+      for (size_t kk = 0; kk < k; ++kk) {
+        AxpyRowImpl(a_row[kk], b + kk * b_stride, n, c_row);
+      }
+    }
+  }
+}
+
+void BlockRankUpdate(const double* a, size_t a_stride, size_t rows, size_t k,
+                     const double* x, size_t x_stride, size_t n, double* p,
+                     size_t p_stride) {
+  for (size_t kk = 0; kk < k; ++kk) {
+    for (size_t r = 0; r < rows; ++r) {
+      AxpyRowImpl(a[r * a_stride + kk], x + r * x_stride, n,
+                  p + kk * p_stride);
+    }
+  }
+}
+
 }  // namespace spca::linalg::kernels::neon
 
 #endif  // SPCA_KERNELS_HAVE_NEON

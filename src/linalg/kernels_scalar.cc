@@ -187,4 +187,56 @@ void LuSolveRows(const double* lu, const size_t* perm, size_t n, double* x,
   }
 }
 
+void BlockGemm(const double* a, size_t a_stride, size_t rows, size_t k,
+               const double* b, size_t b_stride, size_t n, double* c,
+               size_t c_stride, GemmOrder order) {
+  // RowGemm and AxpyRow accumulate straight into c, so splitting k into
+  // chunks leaves every element's chain as it was; RowGemm's zero skip is
+  // the only difference between the two orders.
+  const bool skip_zero = order == GemmOrder::kRowGemm;
+  const size_t chunk = BlockGemmChunkRows(n);
+  for (size_t k0 = 0; k0 < k; k0 += chunk) {
+    const size_t k1 = std::min(k, k0 + chunk);
+    for (size_t r = 0; r < rows; ++r) {
+      const double* a_row = a + r * a_stride;
+      double* c_row = c + r * c_stride;
+      for (size_t kk = k0; kk < k1; ++kk) {
+        const double v = a_row[kk];
+        if (skip_zero && v == 0.0) continue;
+        AxpyRow(v, b + kk * b_stride, n, c_row);
+      }
+    }
+  }
+}
+
+void BlockRankUpdate(const double* a, size_t a_stride, size_t rows, size_t k,
+                     const double* x, size_t x_stride, size_t n, double* p,
+                     size_t p_stride) {
+  // Eight columns of one p row stay in registers while the block's rows
+  // are added into them in order: per element the AxpyRow sequence.
+  constexpr size_t kChunk = 8;
+  for (size_t kk = 0; kk < k; ++kk) {
+    const double* SPCA_RESTRICT ak = a + kk;
+    double* SPCA_RESTRICT prow = p + kk * p_stride;
+    size_t j = 0;
+    for (; j + kChunk <= n; j += kChunk) {
+      double acc[kChunk];
+      for (size_t t = 0; t < kChunk; ++t) acc[t] = prow[j + t];
+      for (size_t r = 0; r < rows; ++r) {
+        const double v = ak[r * a_stride];
+        const double* SPCA_RESTRICT xr = x + r * x_stride + j;
+        for (size_t t = 0; t < kChunk; ++t) acc[t] += v * xr[t];
+      }
+      for (size_t t = 0; t < kChunk; ++t) prow[j + t] = acc[t];
+    }
+    for (; j < n; ++j) {
+      double acc = prow[j];
+      for (size_t r = 0; r < rows; ++r) {
+        acc += ak[r * a_stride] * x[r * x_stride + j];
+      }
+      prow[j] = acc;
+    }
+  }
+}
+
 }  // namespace spca::linalg::kernels::scalar

@@ -5,11 +5,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
+#include "common/check.h"
 #include "common/rng.h"
 #include "core/jobs.h"
 #include "core/reconstruction_error.h"
 #include "dist/engine.h"
+#include "linalg/kernels.h"
 #include "linalg/ops.h"
 #include "linalg/solve.h"
 
@@ -169,6 +173,201 @@ TEST_P(JobsPropertySweep, PerfectBasisMeansZeroError) {
 INSTANTIATE_TEST_SUITE_P(
     Cases, JobsPropertySweep,
     ::testing::Combine(::testing::Range(0, 10), ::testing::Bool()));
+
+// ---- Dense row-block paths vs the per-row loops ---------------------------
+// The dense jobs run the k-chunked row-block kernels and merge the YtX
+// partials on the pool. Their results must equal, byte for byte, the
+// per-row loops below (the jobs as they were written row by row), for
+// both engine modes, any thread count and any dispatched ISA.
+
+bool BytesEqual(const double* a, const double* b, size_t n) {
+  return std::memcmp(a, b, n * sizeof(double)) == 0;
+}
+
+bool BytesEqual(const DenseMatrix& a, const DenseMatrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         BytesEqual(a.data(), b.data(), a.size());
+}
+
+// X_i = Y_i * CM - Xm for one row.
+DenseVector ReferenceXRow(const DistMatrix& y, size_t i, const DenseMatrix& cm,
+                          const DenseVector& xm) {
+  DenseVector x_row(cm.cols());
+  y.RowTimesMatrix(i, cm, &x_row);
+  x_row.Subtract(xm);
+  return x_row;
+}
+
+YtXResult ReferenceYtX(const DistMatrix& y, const DenseVector& ym,
+                       const DenseVector& xm, const DenseMatrix& cm) {
+  const size_t d = cm.cols();
+  const size_t dim = y.cols();
+  YtXResult result;
+  result.xtx = DenseMatrix(d, d);
+  result.ytx = DenseMatrix(dim, d);
+  DenseVector xc_sum(d);
+  for (const auto& range : y.partitions()) {
+    DenseMatrix xtx(d, d);
+    DenseMatrix ytx(dim, d);
+    DenseVector xc(d);
+    for (size_t i = range.begin; i < range.end; ++i) {
+      const DenseVector x_row = ReferenceXRow(y, i, cm, xm);
+      xc.Add(x_row);
+      linalg::kernels::SymRank1Update(x_row.data(), d, xtx.data(), d);
+      y.ForEachEntry(i, [&](size_t k, double v) {
+        linalg::kernels::AxpyRow(v, x_row.data(), d, ytx.RowPtr(k));
+      });
+    }
+    linalg::kernels::SymMirrorLower(xtx.data(), d, d);
+    result.xtx.Add(xtx);
+    result.ytx.Add(ytx);
+    xc_sum.Add(xc);
+  }
+  for (size_t k = 0; k < dim; ++k) {
+    if (ym[k] == 0.0) continue;
+    linalg::kernels::AxpyRow(-ym[k], xc_sum.data(), d, result.ytx.RowPtr(k));
+  }
+  return result;
+}
+
+double ReferenceSs3(const DistMatrix& y, const DenseVector& ym,
+                    const DenseVector& xm, const DenseMatrix& cm,
+                    const DenseMatrix& c) {
+  const size_t d = c.cols();
+  DenseVector ctym(d);
+  for (size_t k = 0; k < y.cols(); ++k) {
+    if (ym[k] == 0.0) continue;
+    linalg::kernels::AxpyRow(ym[k], c.RowPtr(k), d, ctym.data());
+  }
+  double ss3 = 0.0;
+  for (const auto& range : y.partitions()) {
+    double sum = 0.0;
+    for (size_t i = range.begin; i < range.end; ++i) {
+      const DenseVector x_row = ReferenceXRow(y, i, cm, xm);
+      DenseVector v(d);
+      y.ForEachEntry(i, [&](size_t k, double val) {
+        linalg::kernels::AxpyRow(val, c.RowPtr(k), d, v.data());
+      });
+      v.Subtract(ctym);
+      sum += x_row.Dot(v);
+    }
+    ss3 += sum;
+  }
+  return ss3;
+}
+
+struct DenseCase {
+  DistMatrix y;
+  DenseVector ym;
+  DenseMatrix c;
+  DenseMatrix cm;
+  DenseVector xm;
+};
+
+// Dense Y with exact +0.0 / -0.0 entries and partitions of more than one
+// row block; C, CM = C * M^-1 and Xm as the EM driver forms them.
+DenseCase MakeDenseCase(uint64_t seed, size_t rows, size_t cols, size_t d,
+                        size_t partitions) {
+  Rng rng(seed);
+  DenseMatrix dense(rows, cols);
+  for (size_t i = 0; i < rows; ++i) {
+    for (size_t j = 0; j < cols; ++j) {
+      const double u = rng.NextDouble();
+      dense(i, j) = u < 0.1 ? 0.0 : u < 0.15 ? -0.0 : 1.0 + rng.NextGaussian();
+    }
+  }
+  DenseCase c;
+  c.ym = linalg::ColumnMeans(dense);
+  c.ym[0] = 0.0;  // the driver fix-ups skip zero means
+  c.y = DistMatrix::FromDense(std::move(dense), partitions);
+  c.c = DenseMatrix::GaussianRandom(cols, d, &rng);
+  DenseMatrix m = linalg::TransposeMultiply(c.c, c.c);
+  m.AddScaledIdentity(0.3);
+  auto minv = linalg::Inverse(m);
+  SPCA_CHECK(minv.ok());
+  c.cm = linalg::Multiply(c.c, minv.value());
+  c.xm = linalg::RowTimesMatrix(c.ym, c.cm);
+  return c;
+}
+
+struct DenseShape {
+  size_t rows, cols, d, partitions;
+};
+
+constexpr DenseShape kDenseShapes[] = {
+    {70, 37, 3, 2},
+    {90, 333, 5, 3},
+    {41, 120, 50, 1},
+    {100, 400, 100, 4},
+    {9, 11, 1, 5},
+};
+
+TEST(DenseRowBlockJobsTest, MatchPerRowReferenceBitForBit) {
+  uint64_t seed = 8000;
+  for (const DenseShape& s : kDenseShapes) {
+    const DenseCase c =
+        MakeDenseCase(++seed, s.rows, s.cols, s.d, s.partitions);
+    const YtXResult ytx_ref = ReferenceYtX(c.y, c.ym, c.xm, c.cm);
+    const double ss3_ref = ReferenceSs3(c.y, c.ym, c.xm, c.cm, c.c);
+    for (const EngineMode mode : {EngineMode::kSpark, EngineMode::kMapReduce}) {
+      SCOPED_TRACE("rows=" + std::to_string(s.rows) + " D=" +
+                   std::to_string(s.cols) + " d=" + std::to_string(s.d) +
+                   (mode == EngineMode::kSpark ? " spark" : " mapreduce"));
+      Engine engine(dist::ClusterSpec{}, mode);
+      engine.SetLocalWorkers(3);
+
+      const DenseMatrix x =
+          MaterializeXJob(&engine, c.y, c.ym, c.xm, c.cm, JobToggles{});
+      for (size_t i = 0; i < c.y.rows(); ++i) {
+        const DenseVector x_row = ReferenceXRow(c.y, i, c.cm, c.xm);
+        EXPECT_TRUE(BytesEqual(x.RowPtr(i), x_row.data(), s.d))
+            << "X row " << i;
+      }
+
+      const DenseMatrix* no_x = nullptr;
+      for (const DenseMatrix* materialized : {no_x, &x}) {
+        for (const bool consolidate : {true, false}) {
+          JobToggles toggles;
+          toggles.consolidate_jobs = consolidate;
+          const YtXResult ytx =
+              YtXJob(&engine, c.y, c.ym, c.xm, c.cm, materialized, toggles);
+          EXPECT_TRUE(BytesEqual(ytx.ytx, ytx_ref.ytx))
+              << "YtX consolidate=" << consolidate;
+          EXPECT_TRUE(BytesEqual(ytx.xtx, ytx_ref.xtx))
+              << "XtX consolidate=" << consolidate;
+        }
+        const double ss3 = Ss3Job(&engine, c.y, c.ym, c.xm, c.cm, c.c,
+                                  materialized, JobToggles{});
+        EXPECT_TRUE(BytesEqual(&ss3, &ss3_ref, 1)) << ss3 << " vs " << ss3_ref;
+      }
+    }
+  }
+}
+
+TEST(DenseRowBlockJobsTest, OneAndFourWorkersAreBitEqual) {
+  uint64_t seed = 8100;
+  for (const DenseShape& s : kDenseShapes) {
+    const DenseCase c =
+        MakeDenseCase(++seed, s.rows, s.cols, s.d, s.partitions);
+    std::vector<YtXResult> ytx;
+    std::vector<double> ss3;
+    std::vector<DenseMatrix> x;
+    for (const size_t workers : {1u, 4u}) {
+      Engine engine(dist::ClusterSpec{}, EngineMode::kSpark);
+      engine.SetLocalWorkers(workers);
+      x.push_back(
+          MaterializeXJob(&engine, c.y, c.ym, c.xm, c.cm, JobToggles{}));
+      ytx.push_back(
+          YtXJob(&engine, c.y, c.ym, c.xm, c.cm, nullptr, JobToggles{}));
+      ss3.push_back(
+          Ss3Job(&engine, c.y, c.ym, c.xm, c.cm, c.c, nullptr, JobToggles{}));
+    }
+    EXPECT_TRUE(BytesEqual(x[0], x[1])) << "d=" << s.d;
+    EXPECT_TRUE(BytesEqual(ytx[0].ytx, ytx[1].ytx)) << "d=" << s.d;
+    EXPECT_TRUE(BytesEqual(ytx[0].xtx, ytx[1].xtx)) << "d=" << s.d;
+    EXPECT_TRUE(BytesEqual(&ss3[0], &ss3[1], 1)) << "d=" << s.d;
+  }
+}
 
 // ---- Engine-mode invariants -------------------------------------------------
 

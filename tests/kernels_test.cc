@@ -305,7 +305,25 @@ struct IsaKernels {
                    double*);
   void (*lu_solve_rows)(const double*, const size_t*, size_t, double*, size_t,
                         size_t);
+  void (*block_gemm)(const double*, size_t, size_t, size_t, const double*,
+                     size_t, size_t, double*, size_t, kernels::GemmOrder);
+  void (*block_rank_update)(const double*, size_t, size_t, size_t,
+                            const double*, size_t, size_t, double*, size_t);
 };
+
+IsaKernels ScalarKernels() {
+  return {Isa::kScalar,
+          kernels::scalar::AxpyRow,
+          kernels::scalar::AddRow,
+          kernels::scalar::DotRow,
+          kernels::scalar::Rank1Update,
+          kernels::scalar::SymRank1Update,
+          kernels::scalar::SparseRowGemv,
+          kernels::scalar::RowGemm,
+          kernels::scalar::LuSolveRows,
+          kernels::scalar::BlockGemm,
+          kernels::scalar::BlockRankUpdate};
+}
 
 std::vector<IsaKernels> RunnableSimdVariants() {
   std::vector<IsaKernels> variants;
@@ -316,7 +334,8 @@ std::vector<IsaKernels> RunnableSimdVariants() {
                         kernels::avx2::Rank1Update,
                         kernels::avx2::SymRank1Update,
                         kernels::avx2::SparseRowGemv, kernels::avx2::RowGemm,
-                        kernels::avx2::LuSolveRows});
+                        kernels::avx2::LuSolveRows, kernels::avx2::BlockGemm,
+                        kernels::avx2::BlockRankUpdate});
   }
 #endif
 #if defined(SPCA_KERNELS_HAVE_NEON)
@@ -327,7 +346,8 @@ std::vector<IsaKernels> RunnableSimdVariants() {
                         kernels::neon::SymRank1Update,
                         kernels::neon::SparseRowGemv, kernels::neon::RowGemm,
                         // NEON dispatch uses the scalar LuSolveRows.
-                        kernels::scalar::LuSolveRows});
+                        kernels::scalar::LuSolveRows, kernels::neon::BlockGemm,
+                        kernels::neon::BlockRankUpdate});
   }
 #endif
   return variants;
@@ -523,6 +543,184 @@ TEST(SimdVsScalarTest, LuSolveRowsExact) {
           0)
           << kernels::IsaName(v.isa) << " LuSolveRows n=" << n
           << " rows=" << rows;
+    }
+  }
+}
+
+// ---- Row-block kernels vs the per-row kernels they replace -------------
+// BlockGemm and BlockRankUpdate only change which element is worked on
+// when, so on every ISA they must reproduce that ISA's per-row kernels
+// byte for byte (memcmp: also tells +0.0 from -0.0).
+
+// Gaussian values with exact +0.0 and -0.0 mixed in.
+std::vector<double> SignedZeroValues(size_t n, Rng* rng) {
+  std::vector<double> values(n);
+  for (auto& v : values) {
+    const double u = rng->NextDouble();
+    v = u < 0.15 ? 0.0 : u < 0.25 ? -0.0 : rng->NextGaussian();
+  }
+  return values;
+}
+
+struct BlockShape {
+  size_t rows;
+  size_t k;
+  size_t n;
+};
+
+// rows {0,1,3,4,5,17,65} x D {1,3,37,k-chunk-1,k-chunk+1,8000} x
+// d {1,3,5,22,50,100}; the 8000-wide D (several k-chunks) at d 1, 50,
+// 100. d = 22 puts a narrow four-chain stripe before RowGemm's final
+// stripe with its remainder.
+std::vector<BlockShape> BlockShapes() {
+  std::vector<BlockShape> shapes;
+  for (const size_t n : {1u, 3u, 5u, 22u, 50u, 100u}) {
+    const size_t chunk = kernels::BlockGemmChunkRows(n);
+    std::vector<size_t> ks = {1, 3, 37, chunk - 1, chunk + 1};
+    if (n == 1 || n >= 50) ks.push_back(8000);
+    for (const size_t k : ks) {
+      for (const size_t rows : {0u, 1u, 3u, 4u, 5u, 17u, 65u}) {
+        shapes.push_back({rows, k, n});
+      }
+    }
+  }
+  return shapes;
+}
+
+std::string ShapeName(const IsaKernels& v, const BlockShape& s) {
+  return std::string(kernels::IsaName(v.isa)) + " rows=" +
+         std::to_string(s.rows) + " D=" + std::to_string(s.k) +
+         " d=" + std::to_string(s.n);
+}
+
+std::vector<IsaKernels> AllRunnableVariants() {
+  std::vector<IsaKernels> variants = {ScalarKernels()};
+  for (const auto& v : RunnableSimdVariants()) variants.push_back(v);
+  return variants;
+}
+
+bool BytesEqual(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+TEST(BlockKernelsTest, BlockGemmMatchesPerRowKernelsBitForBit) {
+  for (const auto& v : AllRunnableVariants()) {
+    Rng rng(301);
+    for (const BlockShape& s : BlockShapes()) {
+      const auto a = SignedZeroValues(s.rows * s.k, &rng);
+      auto b = SignedZeroValues(s.k * s.n, &rng);
+      b.insert(b.end(), 4, 0.0);  // tail-padding contract, as RowGemm
+      const auto c0 = SignedZeroValues(s.rows * s.n, &rng);
+
+      auto block = c0;
+      auto per_row = c0;
+      v.block_gemm(a.data(), s.k, s.rows, s.k, b.data(), s.n, s.n,
+                   block.data(), s.n, kernels::GemmOrder::kRowGemm);
+      for (size_t r = 0; r < s.rows; ++r) {
+        v.row_gemm(a.data() + r * s.k, s.k, b.data(), s.n, s.n,
+                   per_row.data() + r * s.n);
+      }
+      EXPECT_TRUE(BytesEqual(block, per_row))
+          << "BlockGemm(kRowGemm) vs RowGemm " << ShapeName(v, s);
+
+      block = c0;
+      per_row = c0;
+      v.block_gemm(a.data(), s.k, s.rows, s.k, b.data(), s.n, s.n,
+                   block.data(), s.n, kernels::GemmOrder::kAxpyRow);
+      for (size_t r = 0; r < s.rows; ++r) {
+        for (size_t kk = 0; kk < s.k; ++kk) {
+          v.axpy_row(a[r * s.k + kk], b.data() + kk * s.n, s.n,
+                     per_row.data() + r * s.n);
+        }
+      }
+      EXPECT_TRUE(BytesEqual(block, per_row))
+          << "BlockGemm(kAxpyRow) vs AxpyRow per entry " << ShapeName(v, s);
+    }
+  }
+}
+
+TEST(BlockKernelsTest, BlockRankUpdateMatchesAxpyRowPerEntryBitForBit) {
+  for (const auto& v : AllRunnableVariants()) {
+    Rng rng(302);
+    for (const BlockShape& s : BlockShapes()) {
+      const auto a = SignedZeroValues(s.rows * s.k, &rng);
+      const auto x = SignedZeroValues(s.rows * s.n, &rng);
+      const auto p0 = SignedZeroValues(s.k * s.n, &rng);
+      auto block = p0;
+      auto per_row = p0;
+      v.block_rank_update(a.data(), s.k, s.rows, s.k, x.data(), s.n, s.n,
+                          block.data(), s.n);
+      for (size_t r = 0; r < s.rows; ++r) {
+        for (size_t kk = 0; kk < s.k; ++kk) {
+          v.axpy_row(a[r * s.k + kk], x.data() + r * s.n, s.n,
+                     per_row.data() + kk * s.n);
+        }
+      }
+      EXPECT_TRUE(BytesEqual(block, per_row))
+          << "BlockRankUpdate vs AxpyRow per entry " << ShapeName(v, s);
+    }
+  }
+}
+
+TEST(SimdVsScalarTest, BlockGemm) {
+  const auto variants = RunnableSimdVariants();
+  SPCA_SKIP_WITHOUT_SIMD(variants);
+  for (const auto& v : variants) {
+    Rng rng(209);
+    for (const BlockShape& s : BlockShapes()) {
+      const auto a = SignedZeroValues(s.rows * s.k, &rng);
+      auto b = SignedZeroValues(s.k * s.n, &rng);
+      b.insert(b.end(), 4, 0.0);
+      const auto c0 = SignedZeroValues(s.rows * s.n, &rng);
+      for (const auto order :
+           {kernels::GemmOrder::kRowGemm, kernels::GemmOrder::kAxpyRow}) {
+        auto simd = c0;
+        auto ref = c0;
+        kernels::scalar::BlockGemm(a.data(), s.k, s.rows, s.k, b.data(), s.n,
+                                   s.n, ref.data(), s.n, order);
+        v.block_gemm(a.data(), s.k, s.rows, s.k, b.data(), s.n, s.n,
+                     simd.data(), s.n, order);
+        // A k-long chain of rounding-level differences: scale the bound
+        // by the magnitude of the products summed into each element.
+        for (size_t r = 0; r < s.rows; ++r) {
+          for (size_t j = 0; j < s.n; ++j) {
+            double mag = std::fabs(c0[r * s.n + j]);
+            for (size_t kk = 0; kk < s.k; ++kk) {
+              mag += std::fabs(a[r * s.k + kk] * b[kk * s.n + j]);
+            }
+            ASSERT_NEAR(simd[r * s.n + j], ref[r * s.n + j],
+                        kRelTol * std::max(1.0, mag))
+                << "BlockGemm " << ShapeName(v, s) << " row " << r
+                << " col " << j;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdVsScalarTest, BlockRankUpdate) {
+  const auto variants = RunnableSimdVariants();
+  SPCA_SKIP_WITHOUT_SIMD(variants);
+  for (const auto& v : variants) {
+    Rng rng(210);
+    for (const BlockShape& s : BlockShapes()) {
+      const auto a = SignedZeroValues(s.rows * s.k, &rng);
+      const auto x = SignedZeroValues(s.rows * s.n, &rng);
+      const auto p0 = SignedZeroValues(s.k * s.n, &rng);
+      auto simd = p0;
+      auto ref = p0;
+      kernels::scalar::BlockRankUpdate(a.data(), s.k, s.rows, s.k, x.data(),
+                                       s.n, s.n, ref.data(), s.n);
+      v.block_rank_update(a.data(), s.k, s.rows, s.k, x.data(), s.n, s.n,
+                          simd.data(), s.n);
+      for (size_t i = 0; i < simd.size(); ++i) {
+        ASSERT_NEAR(simd[i], ref[i],
+                    kRelTol * std::max(1.0, std::fabs(ref[i])))
+            << "BlockRankUpdate " << ShapeName(v, s) << " element " << i;
+      }
     }
   }
 }
