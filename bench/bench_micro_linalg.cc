@@ -1,7 +1,7 @@
 // Micro-benchmarks for the linear-algebra kernels underlying every PCA
 // method in the repository: dense GEMM variants, the broadcast-style
 // row-times-matrix product (Section 3.3's in-memory multiplication),
-// sparse row products, the dense EM task step per row and in row blocks,
+// sparse row products, the EM task step per row and in row blocks,
 // the EM driver step's D x d products (SolveRight, Gram,
 // OrthonormalizeColumns), and the small-matrix decompositions the drivers
 // run (Cholesky solve, symmetric eigen, SVD).
@@ -262,6 +262,87 @@ void BM_KernelBlockRankUpdate(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_KernelBlockRankUpdate)->Args({22, 8000, 100});
+
+// One 32-row block's XtX update (the upper triangle of X_blk' X_blk): one
+// SymRank1Update per row versus the register-tiled BlockSymRankUpdate.
+// Args: rows, d.
+void BM_KernelPerRowXtX(benchmark::State& state) {
+  const DenseMatrix x = Random(state.range(0), state.range(1), 23);
+  DenseMatrix xtx(x.cols(), x.cols());
+  for (auto _ : state) {
+    for (size_t r = 0; r < x.rows(); ++r) {
+      kernels::SymRank1Update(x.RowPtr(r), x.cols(), xtx.data(),
+                              xtx.row_stride());
+    }
+    benchmark::DoNotOptimize(xtx.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_KernelPerRowXtX)->Args({32, 50})->Args({32, 100});
+
+void BM_KernelBlockXtX(benchmark::State& state) {
+  const DenseMatrix x = Random(state.range(0), state.range(1), 23);
+  DenseMatrix xtx(x.cols(), x.cols());
+  for (auto _ : state) {
+    kernels::BlockSymRankUpdate(x.data(), x.row_stride(), x.rows(), x.cols(),
+                                xtx.data(), xtx.row_stride());
+    benchmark::DoNotOptimize(xtx.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_KernelBlockXtX)->Args({32, 50})->Args({32, 100});
+
+// ss3's C' * Y_i' for a 32-row block of Tweets-shape sparse rows (about 11
+// stored entries of a 4000-wide row) against the 4000 x 50 C: AxpyRow per
+// entry into each output row versus SparseRowAxpy, which holds the row's
+// stripes in registers across its entries. Args: rows, D, d.
+struct SparseCtYShape {
+  explicit SparseCtYShape(const benchmark::State& state)
+      : c(Random(state.range(1), state.range(2), 24)),
+        v(state.range(0), state.range(2)) {
+    Rng rng(25);
+    for (size_t r = 0; r < v.rows(); ++r) {
+      std::vector<SparseEntry> row;
+      for (int e = 0; e < 11; ++e) {
+        row.push_back({static_cast<uint32_t>(rng.NextUint64Below(c.rows())),
+                       1.0});
+      }
+      rows.push_back(std::move(row));
+    }
+  }
+  DenseMatrix c, v;
+  std::vector<std::vector<SparseEntry>> rows;
+};
+
+void BM_KernelPerEntrySparseCtY(benchmark::State& state) {
+  SparseCtYShape t(state);
+  for (auto _ : state) {
+    t.v.SetZero();
+    for (size_t r = 0; r < t.rows.size(); ++r) {
+      for (const SparseEntry& e : t.rows[r]) {
+        kernels::AxpyRow(e.value, t.c.RowPtr(e.index), t.c.cols(),
+                         t.v.RowPtr(r));
+      }
+    }
+    benchmark::DoNotOptimize(t.v.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_KernelPerEntrySparseCtY)->Args({32, 4000, 50});
+
+void BM_KernelBlockSparseCtY(benchmark::State& state) {
+  SparseCtYShape t(state);
+  for (auto _ : state) {
+    t.v.SetZero();
+    for (size_t r = 0; r < t.rows.size(); ++r) {
+      kernels::SparseRowAxpy(t.rows[r].data(), t.rows[r].size(), t.c.data(),
+                             t.c.row_stride(), t.c.cols(), t.v.RowPtr(r));
+    }
+    benchmark::DoNotOptimize(t.v.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_KernelBlockSparseCtY)->Args({32, 4000, 50});
 
 void BM_Multiply(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));

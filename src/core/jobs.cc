@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <memory>
 #include <vector>
 
 #include "common/check.h"
@@ -21,28 +20,12 @@ using linalg::DenseVector;
 
 namespace {
 
-/// Computes one row of X. With mean propagation, X_i = Y_i*CM - Xm touches
-/// only the stored entries of Y_i; without it, the dense centered row
-/// Yc_i = Y_i - Ym is materialized in `dense_scratch` first and multiplied
-/// densely (the cost the optimization removes). Returns flops spent.
-uint64_t ComputeXRow(const DistMatrix& y, size_t i, const DenseMatrix& cm,
-                     const DenseVector& ym, const DenseVector& xm,
-                     bool mean_propagation, DenseVector* dense_scratch,
-                     DenseVector* x_row) {
-  const size_t d = cm.cols();
-  if (mean_propagation) {
-    y.RowTimesMatrix(i, cm, x_row);
-    x_row->Subtract(xm);
-    return 2ull * y.RowNnz(i) * d + d;
-  }
-  // Densify: Yc_i = Y_i - Ym (a full D-length vector), then Yc_i * CM.
-  const size_t dim = y.cols();
-  for (size_t k = 0; k < dim; ++k) (*dense_scratch)[k] = -ym[k];
-  y.ForEachEntry(i, [&](size_t k, double v) { (*dense_scratch)[k] += v; });
-  x_row->SetZero();
-  linalg::kernels::RowGemm(dense_scratch->data(), dim, cm.data(),
-                           cm.row_stride(), d, x_row->data());
-  return 2ull * dim * d + dim;
+/// Writes the dense centered row Yc_i = Y_i - Ym into `dense` (D long):
+/// the densification the mean-propagation optimization removes.
+void DensifyCentered(const DistMatrix& y, size_t i, const DenseVector& ym,
+                     DenseVector* dense) {
+  for (size_t k = 0; k < y.cols(); ++k) (*dense)[k] = -ym[k];
+  y.ForEachEntry(i, [&](size_t k, double v) { (*dense)[k] += v; });
 }
 
 /// Rows per block of the row-block paths: a block's X (and ss3's C'*Y')
@@ -51,36 +34,40 @@ uint64_t ComputeXRow(const DistMatrix& y, size_t i, const DenseMatrix& cm,
 constexpr size_t kRowBlock = 32;
 
 /// Writes X rows [begin, end) to `out` from row `out_row` on: copied from
-/// the materialized X, else computed. Dense rows under mean propagation
-/// take one k-chunked product for the whole block (the RowTimesMatrix
-/// bits); every other row goes through ComputeXRow. Returns flops spent.
+/// the materialized X, else computed. With mean propagation the block is
+/// one RowsTimesMatrix (the RowTimesMatrix bits per row, touching only
+/// stored entries) minus Xm; without it, each row is densified into
+/// `dense_scratch` first and multiplied densely. Returns flops spent.
 uint64_t ComputeXBlock(const DistMatrix& y, size_t begin, size_t end,
                        const DenseMatrix& cm, const DenseVector& ym,
                        const DenseVector& xm,
                        const DenseMatrix* materialized_x,
                        bool mean_propagation, DenseVector* dense_scratch,
-                       DenseVector* x_row, DenseMatrix* out, size_t out_row) {
+                       DenseMatrix* out, size_t out_row) {
   const size_t d = cm.cols();
   if (materialized_x != nullptr) {
     std::memcpy(out->RowPtr(out_row), materialized_x->RowPtr(begin),
                 (end - begin) * d * sizeof(double));
     return 0;
   }
-  if (mean_propagation && !y.is_sparse()) {
-    y.RowsTimesMatrix(begin, end, cm, linalg::kernels::GemmOrder::kRowGemm,
-                      out, out_row);
-    for (size_t r = out_row; r < out_row + (end - begin); ++r) {
-      double* row = out->RowPtr(r);
-      for (size_t j = 0; j < d; ++j) row[j] -= xm[j];
+  if (!mean_propagation) {
+    const size_t dim = y.cols();
+    for (size_t i = begin; i < end; ++i) {
+      DensifyCentered(y, i, ym, dense_scratch);
+      double* x_i = out->RowPtr(out_row + (i - begin));
+      std::fill(x_i, x_i + d, 0.0);
+      linalg::kernels::RowGemm(dense_scratch->data(), dim, cm.data(),
+                               cm.row_stride(), d, x_i);
     }
-    return (end - begin) * (2ull * y.cols() * d + d);
+    return (end - begin) * (2ull * dim * d + dim);
   }
+  y.RowsTimesMatrix(begin, end, cm, linalg::kernels::GemmOrder::kRowGemm, out,
+                    out_row);
   uint64_t flops = 0;
   for (size_t i = begin; i < end; ++i) {
-    flops += ComputeXRow(y, i, cm, ym, xm, mean_propagation, dense_scratch,
-                         x_row);
-    std::memcpy(out->RowPtr(out_row + (i - begin)), x_row->data(),
-                d * sizeof(double));
+    double* x_i = out->RowPtr(out_row + (i - begin));
+    for (size_t j = 0; j < d; ++j) x_i[j] -= xm[j];
+    flops += 2ull * y.RowNnz(i) * d + d;
   }
   return flops;
 }
@@ -203,14 +190,13 @@ DenseMatrix MaterializeXJob(Engine* engine, const DistMatrix& y,
   engine->RunMap<int>(
       dist::JobDesc{"XJob", "em_iteration"}, y,
       [&](const RowRange& range, TaskContext* ctx) {
-        DenseVector x_row(d);
         DenseVector dense_scratch(toggles.mean_propagation ? 0 : y.cols());
         uint64_t flops = 0;
         for (size_t b0 = range.begin; b0 < range.end; b0 += kRowBlock) {
           const size_t b1 = std::min(range.end, b0 + kRowBlock);
           flops += ComputeXBlock(y, b0, b1, cm, ym, xm, nullptr,
-                                 toggles.mean_propagation, &dense_scratch,
-                                 &x_row, &x, b0);
+                                 toggles.mean_propagation, &dense_scratch, &x,
+                                 b0);
         }
         ctx->CountFlops(flops);
         // X is intermediate data: written out for the consumer jobs.
@@ -222,86 +208,83 @@ DenseMatrix MaterializeXJob(Engine* engine, const DistMatrix& y,
 
 namespace {
 
-/// Shared per-partition pass accumulating XtX and/or YtX partials.
+/// Per-partition results of the YtX pass besides the D x d YtX partial,
+/// which lives in the YtXWorkspace.
 struct YtXPartial {
-  DenseMatrix ytx;      // D x d (empty if YtX not requested)
   DenseMatrix xtx;      // d x d (empty if XtX not requested)
   DenseVector xc_sum;   // sum of centered X rows (for the -Ym (x) sum term)
   size_t touched_rows = 0;
 };
 
+/// Shared per-partition pass accumulating XtX (want_xtx) and/or YtX into
+/// `ytx` (a zeroed D x d partial, or null when YtX is not requested).
 YtXPartial RunYtXPartition(const DistMatrix& y, const RowRange& range,
                            const DenseVector& ym, const DenseVector& xm,
                            const DenseMatrix& cm,
                            const DenseMatrix* materialized_x,
                            const JobToggles& toggles, bool want_xtx,
-                           bool want_ytx, TaskContext* ctx) {
+                           DenseMatrix* ytx, TaskContext* ctx) {
   const size_t d = cm.cols();
   const size_t dim = y.cols();
   YtXPartial partial;
   partial.xc_sum = DenseVector(d);
   if (want_xtx) partial.xtx = DenseMatrix(d, d);
-  if (want_ytx) partial.ytx = DenseMatrix(dim, d);
-  // Dense rows under mean propagation add a whole block into the YtX
-  // partial at once; sparse rows record which partial rows they touch.
-  const bool block_ytx = want_ytx && toggles.mean_propagation && !y.is_sparse();
-  std::vector<uint8_t> touched(want_ytx && !block_ytx ? dim : 0, 0);
+  // Sparse rows under mean propagation record which partial rows they
+  // touch: the Spark accumulator ships only those.
+  std::vector<uint8_t> touched(
+      ytx != nullptr && toggles.mean_propagation && y.is_sparse() ? dim : 0,
+      0);
 
-  DenseVector x_row(d);
   DenseVector dense_scratch(toggles.mean_propagation ? 0 : dim);
   DenseMatrix x_blk(std::min(kRowBlock, range.size()), d);
   uint64_t flops = 0;
   for (size_t b0 = range.begin; b0 < range.end; b0 += kRowBlock) {
     const size_t b1 = std::min(range.end, b0 + kRowBlock);
     flops += ComputeXBlock(y, b0, b1, cm, ym, xm, materialized_x,
-                           toggles.mean_propagation, &dense_scratch, &x_row,
-                           &x_blk, 0);
+                           toggles.mean_propagation, &dense_scratch, &x_blk,
+                           0);
     for (size_t i = b0; i < b1; ++i) {
-      const double* x_i = x_blk.RowPtr(i - b0);
-      linalg::kernels::AddRow(x_i, d, partial.xc_sum.data());
-      if (want_xtx) {
-        // Upper triangle only; mirrored once after the row loop. The flop
-        // count stays the cost model's full 2*d*d — the model charges the
-        // algorithmic work, not this implementation's execution speed.
-        linalg::kernels::SymRank1Update(x_i, d, partial.xtx.data(),
-                                        partial.xtx.row_stride());
-        flops += 2ull * d * d;
-      }
-      if (!want_ytx || block_ytx) continue;
-      if (toggles.mean_propagation) {
-        // Sparse outer product Y_i' (x) x_row; the -Ym (x) sum(Xc) term is
-        // applied once on the driver.
-        y.ForEachEntry(i, [&](size_t k, double v) {
-          touched[k] = 1;
-          linalg::kernels::AxpyRow(v, x_i, d, partial.ytx.RowPtr(k));
-        });
-        flops += 2ull * y.RowNnz(i) * d;
-      } else {
-        // Dense centered row outer product (all D rows touched).
-        for (size_t k = 0; k < dim; ++k) dense_scratch[k] = -ym[k];
-        y.ForEachEntry(i,
-                       [&](size_t k, double v) { dense_scratch[k] += v; });
-        linalg::kernels::Rank1Update(dense_scratch.data(), dim, x_i, d,
-                                     partial.ytx.data(),
-                                     partial.ytx.row_stride());
-        flops += 2ull * dim * d + dim;
-      }
+      linalg::kernels::AddRow(x_blk.RowPtr(i - b0), d,
+                              partial.xc_sum.data());
     }
-    if (block_ytx) {
-      // Y_blk' (x) X_blk, the rows added in order: the sparse branch's
-      // AxpyRow per entry, with one pass over the D x d partial per block.
-      y.AddRowsOuterProduct(b0, b1, x_blk, &partial.ytx);
-      flops += (b1 - b0) * 2ull * dim * d;
+    if (want_xtx) {
+      // Upper triangle only; mirrored once after the block loop. The flop
+      // count stays the cost model's full 2*d*d per row — the model
+      // charges the algorithmic work, not this implementation's speed.
+      linalg::kernels::BlockSymRankUpdate(x_blk.data(), x_blk.row_stride(),
+                                          b1 - b0, d, partial.xtx.data(),
+                                          partial.xtx.row_stride());
+      flops += (b1 - b0) * 2ull * d * d;
+    }
+    if (ytx == nullptr) continue;
+    if (toggles.mean_propagation) {
+      // Y_blk' (x) X_blk over the stored entries, the rows added in order;
+      // the -Ym (x) sum(Xc) term is applied once on the driver.
+      y.AddRowsOuterProduct(b0, b1, x_blk, ytx);
+      for (size_t i = b0; i < b1; ++i) {
+        flops += 2ull * y.RowNnz(i) * d;
+        if (touched.empty()) continue;
+        y.ForEachEntry(i, [&](size_t k, double) { touched[k] = 1; });
+      }
+    } else {
+      // Dense centered row outer products (all D rows touched).
+      for (size_t i = b0; i < b1; ++i) {
+        DensifyCentered(y, i, ym, &dense_scratch);
+        linalg::kernels::Rank1Update(dense_scratch.data(), dim,
+                                     x_blk.RowPtr(i - b0), d, ytx->data(),
+                                     ytx->row_stride());
+      }
+      flops += (b1 - b0) * (2ull * dim * d + dim);
     }
   }
   if (want_xtx) {
     linalg::kernels::SymMirrorLower(partial.xtx.data(), d,
                                     partial.xtx.row_stride());
   }
-  if (want_ytx) {
-    for (uint8_t t : touched) partial.touched_rows += t;
-    if (block_ytx || !toggles.mean_propagation) partial.touched_rows = dim;
-  }
+  partial.touched_rows =
+      touched.empty() ? dim
+                      : static_cast<size_t>(
+                            std::count(touched.begin(), touched.end(), 1));
   ctx->CountFlops(flops);
   return partial;
 }
@@ -310,26 +293,43 @@ YtXPartial RunYtXPartition(const DistMatrix& y, const RowRange& range,
 
 YtXResult YtXJob(Engine* engine, const DistMatrix& y, const DenseVector& ym,
                  const DenseVector& xm, const DenseMatrix& cm,
-                 const DenseMatrix* materialized_x,
-                 const JobToggles& toggles) {
+                 const DenseMatrix* materialized_x, const JobToggles& toggles,
+                 YtXWorkspace* workspace) {
   SPCA_CHECK_EQ(cm.rows(), y.cols());
   const size_t d = cm.cols();
   const size_t dim = y.cols();
+  YtXWorkspace call_workspace;
+  if (workspace == nullptr) workspace = &call_workspace;
+  std::vector<DenseMatrix>& ytx_partials = workspace->partials;
+  ytx_partials.resize(y.num_partitions());
 
   // CM, Ym, and Xm are broadcast to every worker (the in-memory matrix
   // multiplication of Section 3.3).
   engine->Broadcast(cm.ByteSize() + (ym.size() + xm.size()) * sizeof(double));
 
   auto run = [&](const dist::JobDesc& job, bool want_xtx, bool want_ytx) {
-    return engine->RunMap<std::unique_ptr<YtXPartial>>(
+    return engine->RunMap<YtXPartial>(
         job, y, [&](const RowRange& range, TaskContext* ctx) {
-          auto partial = std::make_unique<YtXPartial>(
+          DenseMatrix* ytx = nullptr;
+          if (want_ytx) {
+            // This partition's partial, zeroed by every attempt. A task's
+            // attempts run one after another on the worker that claimed
+            // it and only the last one is merged, so the buffer holds
+            // exactly what a fresh allocation would.
+            ytx = &ytx_partials[range.partition_index];
+            if (ytx->rows() == dim && ytx->cols() == d) {
+              ytx->SetZero();
+            } else {
+              *ytx = DenseMatrix(dim, d);
+            }
+          }
+          YtXPartial partial =
               RunYtXPartition(y, range, ym, xm, cm, materialized_x, toggles,
-                              want_xtx, want_ytx, ctx));
+                              want_xtx, ytx, ctx);
           uint64_t bytes = 0;
           if (want_ytx) {
             bytes += PartialResultBytes(*engine, y, toggles.mean_propagation,
-                                        partial->touched_rows, d,
+                                        partial.touched_rows, d,
                                         /*include_xtx=*/false);
           }
           if (want_xtx) bytes += d * d * sizeof(double);
@@ -339,29 +339,28 @@ YtXResult YtXJob(Engine* engine, const DistMatrix& y, const DenseVector& ym,
         });
   };
 
-  std::vector<std::unique_ptr<YtXPartial>> xtx_partials;
-  std::vector<std::unique_ptr<YtXPartial>> ytx_partials;
+  std::vector<YtXPartial> xtx_partials;
+  std::vector<YtXPartial> xc_partials;
   if (toggles.consolidate_jobs) {
-    auto partials = run(dist::JobDesc{"YtXJob", "em_iteration"},
-                        /*want_xtx=*/true, /*want_ytx=*/true);
-    for (auto& p : partials) ytx_partials.push_back(std::move(p));
+    xc_partials = run(dist::JobDesc{"YtXJob", "em_iteration"},
+                      /*want_xtx=*/true, /*want_ytx=*/true);
   } else {
     // Unconsolidated: XtX and YtX as two distributed jobs, each generating
     // (or re-reading) X independently (Figure 2 before consolidation).
     xtx_partials = run(dist::JobDesc{"XtXJob", "em_iteration"},
                        /*want_xtx=*/true, /*want_ytx=*/false);
-    ytx_partials = run(dist::JobDesc{"YtXJob(split)", "em_iteration"},
-                       /*want_xtx=*/false, /*want_ytx=*/true);
+    xc_partials = run(dist::JobDesc{"YtXJob(split)", "em_iteration"},
+                      /*want_xtx=*/false, /*want_ytx=*/true);
   }
 
   YtXResult result;
   result.xtx = DenseMatrix(d, d);
   result.ytx = DenseMatrix(dim, d);
   DenseVector xc_sum(d);
-  const auto& xtx_source =
-      toggles.consolidate_jobs ? ytx_partials : xtx_partials;
-  for (const auto& p : xtx_source) result.xtx.Add(p->xtx);
-  for (const auto& p : ytx_partials) xc_sum.Add(p->xc_sum);
+  for (const auto& p : toggles.consolidate_jobs ? xc_partials : xtx_partials) {
+    result.xtx.Add(p.xtx);
+  }
+  for (const auto& p : xc_partials) xc_sum.Add(p.xc_sum);
   // YtX = sum_i Y_i' (x) Xc_i  -  Ym (x) sum_i Xc_i  (mean propagation).
   // The D x d merge runs in row blocks on the pool: each block adds the
   // partials in partition order, then applies the fix-up to its own rows,
@@ -377,8 +376,8 @@ YtXResult YtXJob(Engine* engine, const DistMatrix& y, const DenseVector& ym,
         for (size_t s0 = begin; s0 < end; s0 += slice_rows) {
           const size_t s1 = std::min(end, s0 + slice_rows);
           double* out = result.ytx.RowPtr(s0);
-          for (const auto& p : ytx_partials) {
-            linalg::kernels::AddRow(p->ytx.RowPtr(s0), (s1 - s0) * d, out);
+          for (const DenseMatrix& p : ytx_partials) {
+            linalg::kernels::AddRow(p.RowPtr(s0), (s1 - s0) * d, out);
           }
           if (!toggles.mean_propagation) continue;
           for (size_t k = s0; k < s1; ++k) {
@@ -415,10 +414,9 @@ double Ss3Job(Engine* engine, const DistMatrix& y, const DenseVector& ym,
     engine->CountDriverFlops(2ull * dim * d);
   }
 
-  // Dense rows under mean propagation compute a block's C' * Y_i' rows at
-  // once, in the sparse branch's AxpyRow-per-entry order.
-  const bool block_v = toggles.ss3_associativity &&
-                       toggles.mean_propagation && !y.is_sparse();
+  // Under mean propagation a block's C' * Y_i' rows come from one
+  // RowsTimesMatrix, in AxpyRow-per-entry order over the stored entries.
+  const bool block_v = toggles.ss3_associativity && toggles.mean_propagation;
   auto partials = engine->RunMap<double>(
       dist::JobDesc{"ss3Job", "em_iteration"}, y,
       [&](const RowRange& range, TaskContext* ctx) {
@@ -435,7 +433,7 @@ double Ss3Job(Engine* engine, const DistMatrix& y, const DenseVector& ym,
           const size_t b1 = std::min(range.end, b0 + kRowBlock);
           flops += ComputeXBlock(y, b0, b1, cm, ym, xm, materialized_x,
                                  toggles.mean_propagation, &dense_scratch,
-                                 &x_row, &x_blk, 0);
+                                 &x_blk, 0);
           if (block_v) {
             y.RowsTimesMatrix(b0, b1, c, linalg::kernels::GemmOrder::kAxpyRow,
                               &v_blk);
@@ -446,21 +444,12 @@ double Ss3Job(Engine* engine, const DistMatrix& y, const DenseVector& ym,
             if (toggles.ss3_associativity) {
               // Efficient order (Equation 3): v = C' * Yc_i', then X_i . v.
               if (toggles.mean_propagation) {
-                if (block_v) {
-                  std::memcpy(v.data(), v_blk.RowPtr(i - b0),
-                              d * sizeof(double));
-                } else {
-                  v.SetZero();
-                  y.ForEachEntry(i, [&](size_t k, double val) {
-                    linalg::kernels::AxpyRow(val, c.RowPtr(k), d, v.data());
-                  });
-                }
+                std::memcpy(v.data(), v_blk.RowPtr(i - b0),
+                            d * sizeof(double));
                 v.Subtract(ctym);
                 flops += 2ull * y.RowNnz(i) * d + d;
               } else {
-                for (size_t k = 0; k < dim; ++k) dense_scratch[k] = -ym[k];
-                y.ForEachEntry(
-                    i, [&](size_t k, double val) { dense_scratch[k] += val; });
+                DensifyCentered(y, i, ym, &dense_scratch);
                 v.SetZero();
                 linalg::kernels::RowGemm(dense_scratch.data(), dim, c.data(),
                                          c.row_stride(), d, v.data());

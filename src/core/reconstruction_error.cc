@@ -37,6 +37,50 @@ std::vector<size_t> SampleRowIndices(size_t total_rows, size_t count,
   return sample;
 }
 
+void ReconstructRow(const DenseMatrix& basis_t, const DenseVector& mean,
+                    const DenseVector& projected, DenseVector* out) {
+  const size_t d = basis_t.rows();
+  const size_t dim = basis_t.cols();
+  SPCA_CHECK_EQ(mean.size(), dim);
+  SPCA_CHECK_EQ(projected.size(), d);
+  SPCA_CHECK_EQ(out->size(), dim);
+  // Eight independent chains only stop the steps from waiting on each
+  // other's add latency. Named accumulators, not an array: GCC keeps those
+  // in registers, an array it loop-vectorizes through memory.
+  size_t k = 0;
+  for (; k + 8 <= dim; k += 8) {
+    double v0 = mean[k], v1 = mean[k + 1], v2 = mean[k + 2];
+    double v3 = mean[k + 3], v4 = mean[k + 4], v5 = mean[k + 5];
+    double v6 = mean[k + 6], v7 = mean[k + 7];
+    const double* bt = basis_t.RowPtr(0) + k;
+    for (size_t j = 0; j < d; ++j, bt += dim) {
+      const double p = projected[j];
+      v0 += bt[0] * p;
+      v1 += bt[1] * p;
+      v2 += bt[2] * p;
+      v3 += bt[3] * p;
+      v4 += bt[4] * p;
+      v5 += bt[5] * p;
+      v6 += bt[6] * p;
+      v7 += bt[7] * p;
+    }
+    double* o = out->data() + k;
+    o[0] = v0;
+    o[1] = v1;
+    o[2] = v2;
+    o[3] = v3;
+    o[4] = v4;
+    o[5] = v5;
+    o[6] = v6;
+    o[7] = v7;
+  }
+  for (; k < dim; ++k) {
+    double value = mean[k];
+    for (size_t j = 0; j < d; ++j) value += basis_t(j, k) * projected[j];
+    (*out)[k] = value;
+  }
+}
+
 double SampledReconstructionError(const dist::DistMatrix& sample,
                                   const DenseMatrix& components,
                                   const DenseVector& mean) {
@@ -57,15 +101,12 @@ double SampledReconstructionError(const dist::DistMatrix& sample,
   double data_norm = 0.0;
   DenseVector projected(d);
   DenseVector reconstructed(dim);
+  const DenseMatrix basis_t = basis.Transpose();  // d x D
   for (size_t i = 0; i < sample.rows(); ++i) {
     sample.RowTimesMatrix(i, basis, &projected);
     projected.Subtract(mean_projection);
     // Reconstruction (dense row): mean + projected * B'.
-    for (size_t k = 0; k < dim; ++k) {
-      double value = mean[k];
-      for (size_t j = 0; j < d; ++j) value += basis(k, j) * projected[j];
-      reconstructed[k] = value;
-    }
+    ReconstructRow(basis_t, mean, projected, &reconstructed);
     // 1-norm of (row - reconstruction) without materializing the dense row:
     // stored entries contribute |v - rec|, absent entries |0 - rec|.
     double absent = 0.0;

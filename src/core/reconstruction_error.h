@@ -21,6 +21,15 @@ inline constexpr uint64_t kErrorSampleSeed = 777;
 std::vector<size_t> SampleRowIndices(size_t total_rows, size_t count,
                                      uint64_t seed);
 
+/// out = mean + projected * B' for one row, given B' as the d x D
+/// transposed basis `basis_t`: per element the chain mean[k] + B(k, 0)
+/// projected[0] + B(k, 1) projected[1] + ... in that order, eight
+/// elements at a time. SampledReconstructionError's dense reconstruction.
+void ReconstructRow(const linalg::DenseMatrix& basis_t,
+                    const linalg::DenseVector& mean,
+                    const linalg::DenseVector& projected,
+                    linalg::DenseVector* out);
+
 /// The paper's accuracy metric on a (small) sampled matrix:
 ///   e = ||Yr - Xr * B'||_1 / ||Yr||_1,
 /// computed row by row so the dense reconstruction is never materialized.

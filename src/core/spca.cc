@@ -263,6 +263,8 @@ StatusOr<SolveResult> Spca::RunEm(
   // next one, so only the first is computed here (a resumed run starts
   // from its restored C, as a fresh one does).
   DenseMatrix ctc = DriverGram(engine_, c, parts);
+  // The YtX partials, allocated by the first YtXJob and reused after.
+  YtXWorkspace ytx_workspace;
 
   for (int iteration = 1; iteration <= options_.max_iterations; ++iteration) {
     obs::Span iter_span(registry, "spca.em_iteration", "iteration");
@@ -303,7 +305,8 @@ StatusOr<SolveResult> Spca::RunEm(
     }
 
     // Distributed YtXJob (computes XtX and YtX; Algorithm 4 line 9).
-    YtXResult ytx_result = YtXJob(engine_, y, ym, xm, cm, x_ptr, toggles);
+    YtXResult ytx_result =
+        YtXJob(engine_, y, ym, xm, cm, x_ptr, toggles, &ytx_workspace);
 
     // XtX += ss * M^-1 (line 10), then C = YtX / XtX (line 11).
     ytx_result.xtx.AddScaled(ss, m_inverse.value());

@@ -106,7 +106,6 @@ void DistMatrix::RowsTimesMatrix(size_t begin, size_t end,
                                  const DenseMatrix& b,
                                  linalg::kernels::GemmOrder order,
                                  DenseMatrix* out, size_t out_row) const {
-  SPCA_CHECK(!is_sparse());
   SPCA_CHECK_LE(begin, end);
   SPCA_CHECK_LE(end, rows_);
   SPCA_CHECK_EQ(b.rows(), cols_);
@@ -115,6 +114,17 @@ void DistMatrix::RowsTimesMatrix(size_t begin, size_t end,
   if (begin == end) return;
   double* c = out->RowPtr(out_row);
   std::fill(c, c + (end - begin) * out->row_stride(), 0.0);
+  if (is_sparse()) {
+    const auto gemv = order == linalg::kernels::GemmOrder::kRowGemm
+                          ? linalg::kernels::SparseRowGemv
+                          : linalg::kernels::SparseRowAxpy;
+    for (size_t i = begin; i < end; ++i) {
+      const auto row = sparse_->Row(i);
+      gemv(row.begin(), row.nnz(), b.data(), b.row_stride(), b.cols(),
+           c + (i - begin) * out->row_stride());
+    }
+    return;
+  }
   linalg::kernels::BlockGemm(dense_->RowPtr(begin), dense_->row_stride(),
                              end - begin, cols_, b.data(), b.row_stride(),
                              b.cols(), c, out->row_stride(), order);
@@ -123,13 +133,22 @@ void DistMatrix::RowsTimesMatrix(size_t begin, size_t end,
 void DistMatrix::AddRowsOuterProduct(size_t begin, size_t end,
                                      const DenseMatrix& x,
                                      DenseMatrix* out) const {
-  SPCA_CHECK(!is_sparse());
   SPCA_CHECK_LE(begin, end);
   SPCA_CHECK_LE(end, rows_);
   SPCA_CHECK_LE(end - begin, x.rows());
   SPCA_CHECK_EQ(out->rows(), cols_);
   SPCA_CHECK_EQ(out->cols(), x.cols());
   if (begin == end) return;
+  if (is_sparse()) {
+    for (size_t i = begin; i < end; ++i) {
+      const double* x_i = x.RowPtr(i - begin);
+      for (const auto& e : sparse_->Row(i)) {
+        linalg::kernels::AxpyRow(e.value, x_i, x.cols(),
+                                 out->RowPtr(e.index));
+      }
+    }
+    return;
+  }
   linalg::kernels::BlockRankUpdate(dense_->RowPtr(begin), dense_->row_stride(),
                                    end - begin, cols_, x.data(),
                                    x.row_stride(), x.cols(), out->data(),

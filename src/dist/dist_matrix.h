@@ -79,23 +79,24 @@ class DistMatrix {
   void AddRowOuterProduct(size_t i, const linalg::DenseVector& x,
                           linalg::DenseMatrix* out) const;
 
-  /// Row-block forms of the two calls above, for dense storage only
-  /// (CHECKs; sparse rows keep the per-row calls). They run the k-chunked
-  /// linalg::kernels::BlockGemm / BlockRankUpdate, which give the per-row
-  /// bits at one pass over `b` / `out` per block instead of one per row.
+  /// Row-block forms of the two calls above, for both storage kinds. Dense
+  /// rows run the k-chunked linalg::kernels::BlockGemm / BlockRankUpdate,
+  /// which give the per-row bits at one pass over `b` / `out` per block
+  /// instead of one per row; sparse rows run one SparseRowGemv /
+  /// SparseRowAxpy per row (kRowGemm / kAxpyRow) and per-entry AxpyRow.
   ///
   /// Rows out_row .. out_row + (end - begin) of `out` = Y_i * B for i in
   /// [begin, end), overwritten. kRowGemm order matches RowTimesMatrix per
-  /// row; kAxpyRow matches adding AxpyRow(Y_ik, B_k) for every k of the
-  /// row into a zeroed vector.
+  /// row; kAxpyRow matches adding AxpyRow(Y_ik, B_k) for every stored k of
+  /// the row into a zeroed vector.
   void RowsTimesMatrix(size_t begin, size_t end, const linalg::DenseMatrix& b,
                        linalg::kernels::GemmOrder order,
                        linalg::DenseMatrix* out, size_t out_row = 0) const;
 
   /// out += sum over i in [begin, end) of Y_i' (x) x_(i - begin): per
-  /// element AxpyRow(Y_ik, x_(i - begin), out_k) for every k of row begin,
-  /// then begin + 1, ... (no zero skip, unlike AddRowOuterProduct's dense
-  /// path).
+  /// element AxpyRow(Y_ik, x_(i - begin), out_k) for every stored k of row
+  /// begin, then begin + 1, ... (no zero skip, unlike AddRowOuterProduct's
+  /// dense path).
   void AddRowsOuterProduct(size_t begin, size_t end,
                            const linalg::DenseMatrix& x,
                            linalg::DenseMatrix* out) const;

@@ -23,10 +23,12 @@
 //                        AddRow and LuSolveRows are exact.
 //   kernels::neon::*     NEON (aarch64), same numerical caveats as AVX2;
 //                        its table points LuSolveRows at the scalar twin,
-//                        and its BlockGemm / BlockRankUpdate are plain
-//                        per-row loops over its own RowGemm / AxpyRow (no
-//                        k-chunking yet), so they match NEON's per-row
-//                        bits rather than the scalar twins'.
+//                        and its BlockGemm / BlockRankUpdate /
+//                        BlockSymRankUpdate / SparseRowAxpy are plain
+//                        per-row (per-entry) loops over its own RowGemm /
+//                        AxpyRow / SymRank1Update (no register blocking
+//                        yet), so they match NEON's per-row bits rather
+//                        than the scalar twins'.
 //
 // The public kernels in kernels.h forward through a function-pointer
 // table resolved exactly once per process:
@@ -84,7 +86,12 @@ bool IsaAvailable(Isa isa);
                    size_t cols, double* out, size_t out_stride);             \
   void SymRank1Update(const double* x, size_t d, double* out,                \
                       size_t stride);                                        \
+  void BlockSymRankUpdate(const double* x, size_t x_stride, size_t rows,     \
+                          size_t d, double* out, size_t stride);             \
   void SparseRowGemv(const SparseEntry* entries, size_t nnz,                 \
+                     const double* b, size_t b_stride, size_t d,             \
+                     double* out);                                           \
+  void SparseRowAxpy(const SparseEntry* entries, size_t nnz,                 \
                      const double* b, size_t b_stride, size_t d,             \
                      double* out);                                           \
   void RowGemm(const double* a_row, size_t k, const double* b,               \

@@ -22,7 +22,11 @@ struct KernelTable {
   void (*rank1_update)(const double*, size_t, const double*, size_t, double*,
                        size_t);
   void (*sym_rank1_update)(const double*, size_t, double*, size_t);
+  void (*block_sym_rank_update)(const double*, size_t, size_t, size_t,
+                                double*, size_t);
   void (*sparse_row_gemv)(const SparseEntry*, size_t, const double*, size_t,
+                          size_t, double*);
+  void (*sparse_row_axpy)(const SparseEntry*, size_t, const double*, size_t,
                           size_t, double*);
   void (*row_gemm)(const double*, size_t, const double*, size_t, size_t,
                    double*);
@@ -35,27 +39,54 @@ struct KernelTable {
 };
 
 constexpr KernelTable kScalarTable = {
-    Isa::kScalar,          scalar::AxpyRow,     scalar::AddRow,
-    scalar::DotRow,        scalar::Rank1Update, scalar::SymRank1Update,
-    scalar::SparseRowGemv, scalar::RowGemm,     scalar::LuSolveRows,
-    scalar::BlockGemm,     scalar::BlockRankUpdate,
+    Isa::kScalar,
+    scalar::AxpyRow,
+    scalar::AddRow,
+    scalar::DotRow,
+    scalar::Rank1Update,
+    scalar::SymRank1Update,
+    scalar::BlockSymRankUpdate,
+    scalar::SparseRowGemv,
+    scalar::SparseRowAxpy,
+    scalar::RowGemm,
+    scalar::LuSolveRows,
+    scalar::BlockGemm,
+    scalar::BlockRankUpdate,
 };
 
 #if defined(SPCA_KERNELS_HAVE_AVX2)
 constexpr KernelTable kAvx2Table = {
-    Isa::kAvx2,          avx2::AxpyRow,     avx2::AddRow,
-    avx2::DotRow,        avx2::Rank1Update, avx2::SymRank1Update,
-    avx2::SparseRowGemv, avx2::RowGemm,     avx2::LuSolveRows,
-    avx2::BlockGemm,     avx2::BlockRankUpdate,
+    Isa::kAvx2,
+    avx2::AxpyRow,
+    avx2::AddRow,
+    avx2::DotRow,
+    avx2::Rank1Update,
+    avx2::SymRank1Update,
+    avx2::BlockSymRankUpdate,
+    avx2::SparseRowGemv,
+    avx2::SparseRowAxpy,
+    avx2::RowGemm,
+    avx2::LuSolveRows,
+    avx2::BlockGemm,
+    avx2::BlockRankUpdate,
 };
 #endif
 
 #if defined(SPCA_KERNELS_HAVE_NEON)
 constexpr KernelTable kNeonTable = {
-    Isa::kNeon,          neon::AxpyRow,     neon::AddRow,
-    neon::DotRow,        neon::Rank1Update, neon::SymRank1Update,
-    neon::SparseRowGemv, neon::RowGemm,     scalar::LuSolveRows,
-    neon::BlockGemm,     neon::BlockRankUpdate,
+    Isa::kNeon,
+    neon::AxpyRow,
+    neon::AddRow,
+    neon::DotRow,
+    neon::Rank1Update,
+    neon::SymRank1Update,
+    neon::BlockSymRankUpdate,
+    neon::SparseRowGemv,
+    neon::SparseRowAxpy,
+    neon::RowGemm,
+    scalar::LuSolveRows,
+    neon::BlockGemm,
+    neon::BlockRankUpdate,
 };
 #endif
 
@@ -183,6 +214,11 @@ void SymRank1Update(const double* x, size_t d, double* out, size_t stride) {
   Table().sym_rank1_update(x, d, out, stride);
 }
 
+void BlockSymRankUpdate(const double* x, size_t x_stride, size_t rows,
+                        size_t d, double* out, size_t stride) {
+  Table().block_sym_rank_update(x, x_stride, rows, d, out, stride);
+}
+
 void SymMirrorLower(double* out, size_t d, size_t stride) {
   // Pure copies — one implementation serves every ISA bit-identically.
   for (size_t a = 1; a < d; ++a) {
@@ -194,6 +230,11 @@ void SymMirrorLower(double* out, size_t d, size_t stride) {
 void SparseRowGemv(const SparseEntry* entries, size_t nnz, const double* b,
                    size_t b_stride, size_t d, double* out) {
   Table().sparse_row_gemv(entries, nnz, b, b_stride, d, out);
+}
+
+void SparseRowAxpy(const SparseEntry* entries, size_t nnz, const double* b,
+                   size_t b_stride, size_t d, double* out) {
+  Table().sparse_row_axpy(entries, nnz, b, b_stride, d, out);
 }
 
 void RowGemm(const double* a_row, size_t k, const double* b, size_t b_stride,

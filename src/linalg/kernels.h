@@ -28,22 +28,23 @@ namespace spca::linalg::kernels {
 //    per kernel by kernels_test's SIMD-vs-scalar property suites, and
 //    end-to-end by the tolerance-tier fit golden comparison).
 //
-// BlockGemm and BlockRankUpdate reproduce, bit for bit on every ISA, the
-// per-row kernels they replace (RowGemm, AxpyRow per entry): they only
-// reorder which element is worked on when, never the operations applied
-// to one element. Under NEON dispatch they are per-row loops over NEON's
-// own RowGemm / AxpyRow (not the scalar twins, whose unfused rounding
-// would differ from NEON's per-row bits).
+// BlockGemm, BlockRankUpdate, BlockSymRankUpdate and SparseRowAxpy
+// reproduce, bit for bit on every ISA, the per-row kernels they replace
+// (RowGemm, AxpyRow per entry, SymRank1Update per row): they only reorder
+// which element is worked on when, never the operations applied to one
+// element. Under NEON dispatch they are per-row loops over NEON's own
+// RowGemm / AxpyRow / SymRank1Update (not the scalar twins, whose unfused
+// rounding would differ from NEON's per-row bits).
 //
 // Within one process the dispatched ISA never changes, so run-vs-run
 // bit-identity properties (replay == live, batched == row-at-a-time,
 // checkpoint/resume) hold on every ISA.
 //
-// Buffer contract (SparseRowGemv / RowGemm only): the matrix argument
-// `b` must have at least 32 READABLE bytes past its last element — the
-// SIMD tail vector of the final column stripe over-reads (never writes)
-// up to 3 doubles beyond a logical row end and discards the surplus
-// lanes with a masked store. AlignedDoubleBuffer (every DenseMatrix /
+// Buffer contract (SparseRowGemv / SparseRowAxpy / RowGemm only): the
+// matrix argument `b` must have at least 32 READABLE bytes past its last
+// element — the SIMD tail vector of the final column stripe over-reads
+// (never writes) up to 3 doubles beyond a logical row end and discards
+// the surplus lanes with a masked store. AlignedDoubleBuffer (every DenseMatrix /
 // DenseVector) provides this via zeroed allocator tail padding; callers
 // handing in raw arrays must provide the slack themselves. See
 // common/aligned.h and DESIGN.md par.8.
@@ -81,6 +82,15 @@ void Rank1Update(const double* a, size_t rows, const double* b, size_t cols,
 /// from zeros) is never -0.
 void SymRank1Update(const double* x, size_t d, double* out, size_t stride);
 
+/// SymRank1Update for each of `rows` rows x_r (row stride x_stride) in
+/// order: the XtX update of a row block. Each upper-triangle element keeps
+/// one accumulation chain over the rows, so the result is bit-identical,
+/// on every ISA, to calling SymRank1Update row by row (zero-skips
+/// included); the AVX2 twin holds 4 x 8 tiles of `out` in registers across
+/// the block instead of loading and storing the triangle once per row.
+void BlockSymRankUpdate(const double* x, size_t x_stride, size_t rows,
+                        size_t d, double* out, size_t stride);
+
 /// Copies the upper triangle of a d x d row-major matrix into its lower
 /// triangle (the finishing step after a run of SymRank1Update calls).
 /// Pure copies — bit-identical on every ISA.
@@ -94,6 +104,15 @@ void SymMirrorLower(double* out, size_t d, size_t stride);
 /// software-prefetch the gathered b rows (the CSR indices defeat the
 /// hardware prefetcher).
 void SparseRowGemv(const SparseEntry* entries, size_t nnz, const double* b,
+                   size_t b_stride, size_t d, double* out);
+
+/// out[j] += entries[k].value * b(entries[k].index, j) for each entry in
+/// order: bit-identical, on every ISA, to AxpyRow(value, b row, d, out)
+/// once per entry (each element's chain starts at out and takes the
+/// entries in CSR order), with the column stripes of out held in registers
+/// across the entries instead of loaded and stored once per entry. Same
+/// tail-padding contract on `b` as SparseRowGemv.
+void SparseRowAxpy(const SparseEntry* entries, size_t nnz, const double* b,
                    size_t b_stride, size_t d, double* out);
 
 /// c_row[j] += sum_k a_row[k] * b(k, j): one output row of C = A * B with

@@ -13,9 +13,10 @@
 // bit-identical to scalar (and is tested exactly), and LuSolveRows
 // multiplies and subtracts in separate instructions (the TU is built with
 // -ffp-contract=off so the compiler cannot fuse them), which keeps it
-// exact too. BlockGemm and BlockRankUpdate are the row-block forms of
-// RowGemm and AxpyRow: the same FMAs per element in the same order, so
-// they match this TU's per-row kernels bit for bit (kernels_test memcmps
+// exact too. BlockGemm, BlockRankUpdate, BlockSymRankUpdate and
+// SparseRowAxpy are the row-block forms of RowGemm, AxpyRow and
+// SymRank1Update: the same FMAs per element in the same order, so they
+// match this TU's per-row kernels bit for bit (kernels_test memcmps
 // them).
 //
 // All loads/stores are unaligned ops (vmovupd): DenseMatrix aligns its
@@ -895,6 +896,237 @@ void BlockRankUpdate(const double* a, size_t a_stride, size_t rows, size_t k,
       }
       prow[col] = acc;
     }
+  }
+}
+
+namespace {
+
+// ---- BlockSymRankUpdate ------------------------------------------------
+//
+// The upper triangle of out is walked in groups of four rows a0 .. a0 + 3,
+// each group's columns a0 .. d - 1 in 4 x 8 register tiles. Every element
+// takes one FMA x[a] * x[b] per row, rows in order, from the value in out:
+// SymRank1Update's chain, with the triangle loaded and stored once per
+// block instead of once per row. A group's first tile straddles the
+// diagonal and its last may be narrower than 8 columns: those edge tiles
+// mask out the lanes below the diagonal or past column d - 1 (computed on,
+// never stored) and, when narrow, mask the x loads too.
+
+// An interior 4 x 8 tile: rows a0 .. a0 + 3, columns b .. b + 7, all above
+// the diagonal and inside the row.
+void SymTile(const double* SPCA_RESTRICT x, size_t x_stride, size_t rows,
+             size_t a0, size_t b, double* SPCA_RESTRICT out, size_t stride) {
+  double* o0 = out + a0 * stride + b;
+  double* o1 = o0 + stride;
+  double* o2 = o1 + stride;
+  double* o3 = o2 + stride;
+  __m256d c00 = _mm256_loadu_pd(o0), c01 = _mm256_loadu_pd(o0 + 4);
+  __m256d c10 = _mm256_loadu_pd(o1), c11 = _mm256_loadu_pd(o1 + 4);
+  __m256d c20 = _mm256_loadu_pd(o2), c21 = _mm256_loadu_pd(o2 + 4);
+  __m256d c30 = _mm256_loadu_pd(o3), c31 = _mm256_loadu_pd(o3 + 4);
+  for (size_t r = 0; r < rows; ++r) {
+    const double* xr = x + r * x_stride;
+    const __m256d xb0 = _mm256_loadu_pd(xr + b);
+    const __m256d xb1 = _mm256_loadu_pd(xr + b + 4);
+    __m256d xa = _mm256_set1_pd(xr[a0]);
+    c00 = _mm256_fmadd_pd(xa, xb0, c00);
+    c01 = _mm256_fmadd_pd(xa, xb1, c01);
+    xa = _mm256_set1_pd(xr[a0 + 1]);
+    c10 = _mm256_fmadd_pd(xa, xb0, c10);
+    c11 = _mm256_fmadd_pd(xa, xb1, c11);
+    xa = _mm256_set1_pd(xr[a0 + 2]);
+    c20 = _mm256_fmadd_pd(xa, xb0, c20);
+    c21 = _mm256_fmadd_pd(xa, xb1, c21);
+    xa = _mm256_set1_pd(xr[a0 + 3]);
+    c30 = _mm256_fmadd_pd(xa, xb0, c30);
+    c31 = _mm256_fmadd_pd(xa, xb1, c31);
+  }
+  _mm256_storeu_pd(o0, c00);
+  _mm256_storeu_pd(o0 + 4, c01);
+  _mm256_storeu_pd(o1, c10);
+  _mm256_storeu_pd(o1 + 4, c11);
+  _mm256_storeu_pd(o2, c20);
+  _mm256_storeu_pd(o2 + 4, c21);
+  _mm256_storeu_pd(o3, c30);
+  _mm256_storeu_pd(o3 + 4, c31);
+}
+
+// An edge tile: rows a0 .. a0 + NA - 1 (NA < 4 only in the last group),
+// columns b .. b + w - 1 with w <= 8 (kFull: w == 8). Lane c of row i is
+// kept where b + c >= a0 + i and c < w; only kept lanes are loaded from
+// and stored to out, and a narrow tile loads only x[b .. b + w - 1].
+template <int NA, bool kFull>
+void SymEdgeTile(const double* SPCA_RESTRICT x, size_t x_stride, size_t rows,
+                 size_t a0, size_t b, size_t w, double* SPCA_RESTRICT out,
+                 size_t stride) {
+  // Each lane's column, compared with row i's diagonal and with b + w.
+  const __m256i lane = _mm256_setr_epi64x(0, 1, 2, 3);
+  const __m256i col0 = _mm256_add_epi64(lane, _mm256_set1_epi64x(b));
+  const __m256i col1 = _mm256_add_epi64(col0, _mm256_set1_epi64x(4));
+  const __m256i end = _mm256_set1_epi64x(b + w);
+  const __m256i cols0 = _mm256_cmpgt_epi64(end, col0);
+  const __m256i cols1 = _mm256_cmpgt_epi64(end, col1);
+  __m256i keep[NA][2];
+  __m256d acc[NA][2];
+  for (int i = 0; i < NA; ++i) {
+    const __m256i below =
+        _mm256_set1_epi64x(static_cast<int64_t>(a0 + i) - 1);
+    keep[i][0] = _mm256_and_si256(cols0, _mm256_cmpgt_epi64(col0, below));
+    keep[i][1] = _mm256_and_si256(cols1, _mm256_cmpgt_epi64(col1, below));
+    double* row = out + (a0 + i) * stride + b;
+    acc[i][0] = _mm256_maskload_pd(row, keep[i][0]);
+    acc[i][1] = _mm256_maskload_pd(row + 4, keep[i][1]);
+  }
+  for (size_t r = 0; r < rows; ++r) {
+    const double* xr = x + r * x_stride;
+    const __m256d xb0 = kFull ? _mm256_loadu_pd(xr + b)
+                              : _mm256_maskload_pd(xr + b, cols0);
+    const __m256d xb1 = kFull ? _mm256_loadu_pd(xr + b + 4)
+                              : _mm256_maskload_pd(xr + b + 4, cols1);
+    for (int i = 0; i < NA; ++i) {
+      const __m256d xa = _mm256_set1_pd(xr[a0 + i]);
+      acc[i][0] = _mm256_fmadd_pd(xa, xb0, acc[i][0]);
+      acc[i][1] = _mm256_fmadd_pd(xa, xb1, acc[i][1]);
+    }
+  }
+  for (int i = 0; i < NA; ++i) {
+    double* row = out + (a0 + i) * stride + b;
+    _mm256_maskstore_pd(row, keep[i][0], acc[i][0]);
+    _mm256_maskstore_pd(row + 4, keep[i][1], acc[i][1]);
+  }
+}
+
+using SymEdgeFn = void (*)(const double*, size_t, size_t, size_t, size_t,
+                           size_t, double*, size_t);
+
+constexpr SymEdgeFn kSymEdge[2][4] = {
+    {&SymEdgeTile<1, false>, &SymEdgeTile<2, false>, &SymEdgeTile<3, false>,
+     &SymEdgeTile<4, false>},
+    {&SymEdgeTile<1, true>, &SymEdgeTile<2, true>, &SymEdgeTile<3, true>,
+     &SymEdgeTile<4, true>}};
+
+void SymTiles(const double* x, size_t x_stride, size_t rows, size_t d,
+              double* out, size_t stride) {
+  for (size_t a0 = 0; a0 < d; a0 += 4) {
+    const size_t na = std::min<size_t>(4, d - a0);
+    for (size_t b = a0; b < d; b += 8) {
+      const size_t w = std::min<size_t>(8, d - b);
+      if (b > a0 && w == 8 && na == 4) {
+        SymTile(x, x_stride, rows, a0, b, out, stride);
+      } else {
+        kSymEdge[w == 8][na - 1](x, x_stride, rows, a0, b, w, out, stride);
+      }
+    }
+  }
+}
+
+inline bool HasZero(const double* x, size_t d) {
+  const __m256d zero = _mm256_setzero_pd();
+  size_t j = 0;
+  for (; j + 4 <= d; j += 4) {
+    const __m256d eq = _mm256_cmp_pd(_mm256_loadu_pd(x + j), zero, _CMP_EQ_OQ);
+    if (_mm256_movemask_pd(eq) != 0) return true;
+  }
+  for (; j < d; ++j) {
+    if (x[j] == 0.0) return true;
+  }
+  return false;
+}
+
+}  // namespace
+
+void BlockSymRankUpdate(const double* x, size_t x_stride, size_t rows,
+                        size_t d, double* out, size_t stride) {
+  // SymRank1Update skips the pairs of triangle rows whose x values are
+  // both zero, which a tile cannot do per element without changing a -0.0
+  // accumulator; so a row holding a zero (never seen in a dense X) runs
+  // through SymRank1Update itself, between tiled runs of zero-free rows.
+  size_t r = 0;
+  while (r < rows) {
+    size_t end = r;
+    while (end < rows && !HasZero(x + end * x_stride, d)) ++end;
+    if (end > r) SymTiles(x + r * x_stride, x_stride, end - r, d, out, stride);
+    if (end < rows) SymRank1Update(x + end * x_stride, d, out, stride);
+    r = end + 1;
+  }
+}
+
+namespace {
+
+// ---- SparseRowAxpy -----------------------------------------------------
+//
+// SparseGemvStripe's register stripes with AxpyRow's chains: the
+// accumulators start at out (not at zero, folded in at the end) and take
+// one FMA per entry, so each element sees AxpyRow's sequence for entry 0,
+// 1, ... of the row, with out loaded and stored once per stripe instead
+// of once per entry. The tail vector over-reads b like SparseGemvStripe's.
+
+template <int NV, bool kHasRem>
+void SparseAxpyStripe(const SparseEntry* SPCA_RESTRICT entries, size_t nnz,
+                      const double* SPCA_RESTRICT b, size_t b_stride,
+                      double* SPCA_RESTRICT out, size_t rem) {
+  static_assert(NV >= 0 && NV <= 12, "more than 12 vectors cannot stay "
+                                     "register-resident");
+  constexpr size_t kPrefetchAhead = 6;
+  constexpr int kPrefetchSpan = NV * 32 + (kHasRem ? 32 : 0);
+  __m256d acc[NV > 0 ? NV : 1];
+  for (int v = 0; v < NV; ++v) acc[v] = _mm256_loadu_pd(out + 4 * v);
+  const __m256i mask = kHasRem ? TailMask(rem) : _mm256_setzero_si256();
+  __m256d accr = kHasRem ? _mm256_maskload_pd(out + 4 * NV, mask)
+                         : _mm256_setzero_pd();
+  for (size_t k = 0; k < nnz; ++k) {
+    if (k + kPrefetchAhead < nnz) {
+      const char* next = reinterpret_cast<const char*>(
+          b + entries[k + kPrefetchAhead].index * b_stride);
+      for (int off = 0; off <= kPrefetchSpan; off += 64) {
+        _mm_prefetch(next + off, _MM_HINT_T0);
+      }
+    }
+    const __m256d vv = _mm256_set1_pd(entries[k].value);
+    const double* row = b + entries[k].index * b_stride;
+    for (int v = 0; v < NV; ++v) {
+      acc[v] = _mm256_fmadd_pd(vv, _mm256_loadu_pd(row + 4 * v), acc[v]);
+    }
+    if constexpr (kHasRem) {
+      accr = _mm256_fmadd_pd(vv, _mm256_loadu_pd(row + 4 * NV), accr);
+    }
+  }
+  for (int v = 0; v < NV; ++v) _mm256_storeu_pd(out + 4 * v, acc[v]);
+  if constexpr (kHasRem) _mm256_maskstore_pd(out + 4 * NV, mask, accr);
+}
+
+using SparseAxpyFn = void (*)(const SparseEntry*, size_t, const double*,
+                              size_t, double*, size_t);
+
+template <bool kHasRem, size_t... NV>
+constexpr std::array<SparseAxpyFn, sizeof...(NV)> SparseAxpyTable(
+    std::index_sequence<NV...>) {
+  return {&SparseAxpyStripe<static_cast<int>(NV), kHasRem>...};
+}
+
+constexpr auto kSparseAxpy =
+    SparseAxpyTable<false>(std::make_index_sequence<13>());
+constexpr auto kSparseAxpyRem =
+    SparseAxpyTable<true>(std::make_index_sequence<13>());
+
+}  // namespace
+
+void SparseRowAxpy(const SparseEntry* entries, size_t nnz, const double* b,
+                   size_t b_stride, size_t d, double* out) {
+  if (nnz == 0 || d == 0) return;
+  // Whole vectors split evenly into stripes of at most 12, the last one
+  // carrying the 1-3 trailing columns (every lane is its own chain, so the
+  // split does not change any result).
+  const size_t vectors = d / 4;
+  const size_t rem = d % 4;
+  const size_t stripes = std::max<size_t>(1, (vectors + 11) / 12);
+  size_t col = 0;
+  for (size_t s = 0; s < stripes; ++s) {
+    const size_t nv = vectors / stripes + (s < vectors % stripes ? 1 : 0);
+    const bool last = s + 1 == stripes && rem > 0;
+    (last ? kSparseAxpyRem : kSparseAxpy)[nv](entries, nnz, b + col, b_stride,
+                                              out + col, rem);
+    col += 4 * nv;
   }
 }
 

@@ -96,6 +96,14 @@ void SymRank1Update(const double* x, size_t d, double* out, size_t stride) {
   }
 }
 
+// Per-row loop, like BlockGemm below: NEON's per-row bits by construction.
+void BlockSymRankUpdate(const double* x, size_t x_stride, size_t rows,
+                        size_t d, double* out, size_t stride) {
+  for (size_t r = 0; r < rows; ++r) {
+    SymRank1Update(x + r * x_stride, d, out, stride);
+  }
+}
+
 void SparseRowGemv(const SparseEntry* entries, size_t nnz, const double* b,
                    size_t b_stride, size_t d, double* out) {
   constexpr size_t kPrefetchAhead = 8;
@@ -137,6 +145,14 @@ void SparseRowGemv(const SparseEntry* entries, size_t nnz, const double* b,
                           b[entries[k].index * b_stride + j], acc);
     }
     out[j] = acc;
+  }
+}
+
+// Per-entry loop over AxpyRow, for the same reason.
+void SparseRowAxpy(const SparseEntry* entries, size_t nnz, const double* b,
+                   size_t b_stride, size_t d, double* out) {
+  for (size_t k = 0; k < nnz; ++k) {
+    AxpyRowImpl(entries[k].value, b + entries[k].index * b_stride, d, out);
   }
 }
 

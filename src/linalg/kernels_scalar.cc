@@ -89,6 +89,13 @@ void SymRank1Update(const double* x, size_t d, double* out, size_t stride) {
   }
 }
 
+void BlockSymRankUpdate(const double* x, size_t x_stride, size_t rows,
+                        size_t d, double* out, size_t stride) {
+  for (size_t r = 0; r < rows; ++r) {
+    SymRank1Update(x + r * x_stride, d, out, stride);
+  }
+}
+
 void SparseRowGemv(const SparseEntry* entries, size_t nnz, const double* b,
                    size_t b_stride, size_t d, double* out) {
   // Column-chunked: for each register-sized block of output columns, sweep
@@ -131,6 +138,13 @@ void SparseRowGemv(const SparseEntry* entries, size_t nnz, const double* b,
     }
     op[j] = acc;
   }
+}
+
+void SparseRowAxpy(const SparseEntry* entries, size_t nnz, const double* b,
+                   size_t b_stride, size_t d, double* out) {
+  // SparseRowGemv's chains start at out[j] and add the unfused products in
+  // CSR order: exactly AxpyRow once per entry.
+  SparseRowGemv(entries, nnz, b, b_stride, d, out);
 }
 
 void RowGemm(const double* a_row, size_t k, const double* b, size_t b_stride,

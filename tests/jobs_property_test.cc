@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "common/check.h"
@@ -13,8 +14,10 @@
 #include "core/jobs.h"
 #include "core/reconstruction_error.h"
 #include "dist/engine.h"
+#include "dist/fault.h"
 #include "linalg/kernels.h"
 #include "linalg/ops.h"
+#include "linalg/qr.h"
 #include "linalg/solve.h"
 
 namespace spca::core {
@@ -23,6 +26,8 @@ namespace {
 using dist::DistMatrix;
 using dist::Engine;
 using dist::EngineMode;
+using dist::FaultPlan;
+using dist::FaultSpec;
 using linalg::DenseMatrix;
 using linalg::DenseVector;
 using linalg::SparseMatrix;
@@ -174,11 +179,13 @@ INSTANTIATE_TEST_SUITE_P(
     Cases, JobsPropertySweep,
     ::testing::Combine(::testing::Range(0, 10), ::testing::Bool()));
 
-// ---- Dense row-block paths vs the per-row loops ---------------------------
-// The dense jobs run the k-chunked row-block kernels and merge the YtX
-// partials on the pool. Their results must equal, byte for byte, the
-// per-row loops below (the jobs as they were written row by row), for
-// both engine modes, any thread count and any dispatched ISA.
+// ---- Row-block paths vs the per-row loops ---------------------------------
+// The jobs run X, XtX, YtX and ss3's C' * Y' in row blocks (k-chunked
+// kernels for dense rows, register-resident per-row kernels for sparse
+// ones) and merge the YtX partials on the pool. Their results must equal,
+// byte for byte, the per-row loops below (the jobs as they were written
+// row by row), for both storage kinds, both engine modes, any thread count
+// and any dispatched ISA.
 
 bool BytesEqual(const double* a, const double* b, size_t n) {
   return std::memcmp(a, b, n * sizeof(double)) == 0;
@@ -264,22 +271,30 @@ struct DenseCase {
   DenseVector xm;
 };
 
-// Dense Y with exact +0.0 / -0.0 entries and partitions of more than one
-// row block; C, CM = C * M^-1 and Xm as the EM driver forms them.
+// Y with partitions of more than one row block; C, CM = C * M^-1 and Xm
+// as the EM driver forms them. Dense storage carries exact +0.0 / -0.0
+// entries; sparse storage keeps about a tenth of the entries, with some
+// rows empty.
 DenseCase MakeDenseCase(uint64_t seed, size_t rows, size_t cols, size_t d,
-                        size_t partitions) {
+                        size_t partitions, bool sparse = false) {
   Rng rng(seed);
   DenseMatrix dense(rows, cols);
   for (size_t i = 0; i < rows; ++i) {
     for (size_t j = 0; j < cols; ++j) {
       const double u = rng.NextDouble();
+      if (sparse) {
+        if (i % 7 != 3 && u < 0.1) dense(i, j) = 1.0 + rng.NextGaussian();
+        continue;
+      }
       dense(i, j) = u < 0.1 ? 0.0 : u < 0.15 ? -0.0 : 1.0 + rng.NextGaussian();
     }
   }
   DenseCase c;
   c.ym = linalg::ColumnMeans(dense);
   c.ym[0] = 0.0;  // the driver fix-ups skip zero means
-  c.y = DistMatrix::FromDense(std::move(dense), partitions);
+  c.y = sparse ? DistMatrix::FromSparse(SparseMatrix::FromDense(dense),
+                                        partitions)
+               : DistMatrix::FromDense(std::move(dense), partitions);
   c.c = DenseMatrix::GaussianRandom(cols, d, &rng);
   DenseMatrix m = linalg::TransposeMultiply(c.c, c.c);
   m.AddScaledIdentity(0.3);
@@ -302,15 +317,16 @@ constexpr DenseShape kDenseShapes[] = {
     {9, 11, 1, 5},
 };
 
-TEST(DenseRowBlockJobsTest, MatchPerRowReferenceBitForBit) {
-  uint64_t seed = 8000;
+void ExpectJobsMatchPerRowReference(bool sparse) {
+  uint64_t seed = sparse ? 8200 : 8000;
   for (const DenseShape& s : kDenseShapes) {
     const DenseCase c =
-        MakeDenseCase(++seed, s.rows, s.cols, s.d, s.partitions);
+        MakeDenseCase(++seed, s.rows, s.cols, s.d, s.partitions, sparse);
     const YtXResult ytx_ref = ReferenceYtX(c.y, c.ym, c.xm, c.cm);
     const double ss3_ref = ReferenceSs3(c.y, c.ym, c.xm, c.cm, c.c);
     for (const EngineMode mode : {EngineMode::kSpark, EngineMode::kMapReduce}) {
-      SCOPED_TRACE("rows=" + std::to_string(s.rows) + " D=" +
+      SCOPED_TRACE(std::string(sparse ? "sparse" : "dense") + " rows=" +
+                   std::to_string(s.rows) + " D=" +
                    std::to_string(s.cols) + " d=" + std::to_string(s.d) +
                    (mode == EngineMode::kSpark ? " spark" : " mapreduce"));
       Engine engine(dist::ClusterSpec{}, mode);
@@ -344,6 +360,14 @@ TEST(DenseRowBlockJobsTest, MatchPerRowReferenceBitForBit) {
   }
 }
 
+TEST(DenseRowBlockJobsTest, MatchPerRowReferenceBitForBit) {
+  ExpectJobsMatchPerRowReference(/*sparse=*/false);
+}
+
+TEST(SparseRowBlockJobsTest, MatchPerRowReferenceBitForBit) {
+  ExpectJobsMatchPerRowReference(/*sparse=*/true);
+}
+
 TEST(DenseRowBlockJobsTest, OneAndFourWorkersAreBitEqual) {
   uint64_t seed = 8100;
   for (const DenseShape& s : kDenseShapes) {
@@ -366,6 +390,150 @@ TEST(DenseRowBlockJobsTest, OneAndFourWorkersAreBitEqual) {
     EXPECT_TRUE(BytesEqual(ytx[0].ytx, ytx[1].ytx)) << "d=" << s.d;
     EXPECT_TRUE(BytesEqual(ytx[0].xtx, ytx[1].xtx)) << "d=" << s.d;
     EXPECT_TRUE(BytesEqual(&ss3[0], &ss3[1], 1)) << "d=" << s.d;
+  }
+}
+
+// ---- The YtX workspace -----------------------------------------------------
+// The EM driver keeps one D x d YtX partial per partition alive across
+// iterations. Reused buffers (dirtied by an earlier call, or of another
+// shape) must give the bits of fresh ones, also when faults re-run task
+// attempts or launch speculative copies into the same buffer.
+
+TEST(YtXWorkspaceTest, ReusedBuffersGiveFreshAllocationBits) {
+  for (const bool sparse : {false, true}) {
+    const DenseCase c = MakeDenseCase(8300, 150, 70, 6, 4, sparse);
+    const DenseCase other = MakeDenseCase(8301, 150, 70, 9, 4, sparse);
+    for (const bool consolidate : {true, false}) {
+      JobToggles toggles;
+      toggles.consolidate_jobs = consolidate;
+      Engine fresh_engine(dist::ClusterSpec{}, EngineMode::kSpark);
+      fresh_engine.SetLocalWorkers(1);
+      const YtXResult fresh =
+          YtXJob(&fresh_engine, c.y, c.ym, c.xm, c.cm, nullptr, toggles);
+
+      DenseMatrix doubled_cm = c.cm;
+      doubled_cm.Scale(2.0);
+      FaultSpec spec;
+      spec.seed = 17;
+      spec.task_failure_probability = 0.4;
+      spec.straggler_probability = 0.5;
+      spec.straggler_slowdown = 6.0;
+      spec.speculation.enabled = true;
+      for (const size_t workers : {1u, 4u}) {
+        for (const bool faulted : {false, true}) {
+          SCOPED_TRACE(std::string(sparse ? "sparse" : "dense") +
+                       " consolidate=" + std::to_string(consolidate) +
+                       " workers=" + std::to_string(workers) +
+                       " faulted=" + std::to_string(faulted));
+          Engine engine(dist::ClusterSpec{}, EngineMode::kSpark);
+          engine.SetLocalWorkers(workers);
+          if (faulted) engine.SetFaultPlan(FaultPlan(spec));
+          YtXWorkspace workspace;
+          // Another d first (reallocated), then the same shape with other
+          // inputs (dirty buffers of the right shape), then twice as is.
+          YtXJob(&engine, other.y, other.ym, other.xm, other.cm, nullptr,
+                 toggles, &workspace);
+          YtXJob(&engine, c.y, c.ym, c.xm, doubled_cm, nullptr, toggles,
+                 &workspace);
+          for (int call = 0; call < 2; ++call) {
+            const YtXResult reused = YtXJob(&engine, c.y, c.ym, c.xm, c.cm,
+                                            nullptr, toggles, &workspace);
+            EXPECT_TRUE(BytesEqual(reused.ytx, fresh.ytx)) << "call " << call;
+            EXPECT_TRUE(BytesEqual(reused.xtx, fresh.xtx)) << "call " << call;
+          }
+          ASSERT_EQ(workspace.partials.size(), c.y.num_partitions());
+          if (faulted) {
+            const obs::Counter* retries =
+                engine.registry()->FindCounter("engine.retries.attempts");
+            const obs::Counter* copies =
+                engine.registry()->FindCounter("engine.speculation.launched");
+            ASSERT_NE(retries, nullptr);
+            ASSERT_NE(copies, nullptr);
+            EXPECT_GT(retries->AsUint64(), 0u);
+            EXPECT_GT(copies->AsUint64(), 0u);
+          }
+        }
+      }
+    }
+  }
+}
+
+// ---- Evaluation loop -------------------------------------------------------
+
+// SampledReconstructionError as written element by element: one chain
+// mean[k] + B(k, 0) p[0] + ... per reconstructed element.
+double ReferenceReconstructionError(const DistMatrix& sample,
+                                    const DenseMatrix& components,
+                                    const DenseVector& mean) {
+  const DenseMatrix basis = linalg::OrthonormalizeColumns(components);
+  const size_t d = basis.cols();
+  const size_t dim = sample.cols();
+  DenseVector mean_projection(d);
+  for (size_t k = 0; k < dim; ++k) {
+    if (mean[k] == 0.0) continue;
+    for (size_t j = 0; j < d; ++j) mean_projection[j] += mean[k] * basis(k, j);
+  }
+  double error_norm = 0.0;
+  double data_norm = 0.0;
+  DenseVector projected(d);
+  DenseVector reconstructed(dim);
+  for (size_t i = 0; i < sample.rows(); ++i) {
+    sample.RowTimesMatrix(i, basis, &projected);
+    projected.Subtract(mean_projection);
+    for (size_t k = 0; k < dim; ++k) {
+      double value = mean[k];
+      for (size_t j = 0; j < d; ++j) value += basis(k, j) * projected[j];
+      reconstructed[k] = value;
+    }
+    double absent = 0.0;
+    for (size_t k = 0; k < dim; ++k) absent += std::fabs(reconstructed[k]);
+    double present = 0.0;
+    double row_norm = 0.0;
+    sample.ForEachEntry(i, [&](size_t k, double v) {
+      present += std::fabs(v - reconstructed[k]) - std::fabs(reconstructed[k]);
+      row_norm += std::fabs(v);
+    });
+    error_norm += absent + present;
+    data_norm += row_norm;
+  }
+  return data_norm == 0.0 ? 0.0 : error_norm / data_norm;
+}
+
+TEST(ReconstructionErrorTest, ReconstructRowMatchesPerElementChains) {
+  Rng rng(8500);
+  for (const size_t dim : {1u, 3u, 8u, 13u, 17u, 45u, 64u, 101u}) {
+    for (const size_t d : {1u, 3u, 10u}) {
+      const DenseMatrix basis = DenseMatrix::GaussianRandom(dim, d, &rng);
+      const DenseVector mean = linalg::ColumnMeans(
+          DenseMatrix::GaussianRandom(3, dim, &rng));
+      DenseVector projected(d);
+      for (size_t j = 0; j < d; ++j) projected[j] = rng.NextGaussian();
+      DenseVector out(dim);
+      ReconstructRow(basis.Transpose(), mean, projected, &out);
+      for (size_t k = 0; k < dim; ++k) {
+        double value = mean[k];
+        for (size_t j = 0; j < d; ++j) value += basis(k, j) * projected[j];
+        EXPECT_TRUE(BytesEqual(&out[k], &value, 1))
+            << "D=" << dim << " d=" << d << " element " << k;
+      }
+    }
+  }
+}
+
+TEST(ReconstructionErrorTest, MatchesPerElementReferenceBitForBit) {
+  uint64_t seed = 8400;
+  for (const bool sparse : {false, true}) {
+    for (const size_t dim : {3u, 8u, 13u, 17u, 45u, 64u, 101u}) {
+      for (const size_t d : {1u, 3u, 10u}) {
+        if (d > dim) continue;
+        const DenseCase c = MakeDenseCase(++seed, 40, dim, d, 2, sparse);
+        const double error = SampledReconstructionError(c.y, c.c, c.ym);
+        const double reference = ReferenceReconstructionError(c.y, c.c, c.ym);
+        EXPECT_TRUE(BytesEqual(&error, &reference, 1))
+            << (sparse ? "sparse" : "dense") << " D=" << dim << " d=" << d
+            << ": " << error << " vs " << reference;
+      }
+    }
   }
 }
 

@@ -36,6 +36,7 @@
 
 #include "common/rng.h"
 #include "core/spca.h"
+#include "dist/dist_matrix.h"
 #include "dist/engine.h"
 #include "linalg/dense_matrix.h"
 #include "linalg/sparse_matrix.h"
@@ -299,7 +300,11 @@ struct IsaKernels {
   void (*rank1_update)(const double*, size_t, const double*, size_t, double*,
                        size_t);
   void (*sym_rank1_update)(const double*, size_t, double*, size_t);
+  void (*block_sym_rank_update)(const double*, size_t, size_t, size_t,
+                                double*, size_t);
   void (*sparse_row_gemv)(const SparseEntry*, size_t, const double*, size_t,
+                          size_t, double*);
+  void (*sparse_row_axpy)(const SparseEntry*, size_t, const double*, size_t,
                           size_t, double*);
   void (*row_gemm)(const double*, size_t, const double*, size_t, size_t,
                    double*);
@@ -318,7 +323,9 @@ IsaKernels ScalarKernels() {
           kernels::scalar::DotRow,
           kernels::scalar::Rank1Update,
           kernels::scalar::SymRank1Update,
+          kernels::scalar::BlockSymRankUpdate,
           kernels::scalar::SparseRowGemv,
+          kernels::scalar::SparseRowAxpy,
           kernels::scalar::RowGemm,
           kernels::scalar::LuSolveRows,
           kernels::scalar::BlockGemm,
@@ -333,7 +340,9 @@ std::vector<IsaKernels> RunnableSimdVariants() {
                         kernels::avx2::AddRow, kernels::avx2::DotRow,
                         kernels::avx2::Rank1Update,
                         kernels::avx2::SymRank1Update,
-                        kernels::avx2::SparseRowGemv, kernels::avx2::RowGemm,
+                        kernels::avx2::BlockSymRankUpdate,
+                        kernels::avx2::SparseRowGemv,
+                        kernels::avx2::SparseRowAxpy, kernels::avx2::RowGemm,
                         kernels::avx2::LuSolveRows, kernels::avx2::BlockGemm,
                         kernels::avx2::BlockRankUpdate});
   }
@@ -344,7 +353,9 @@ std::vector<IsaKernels> RunnableSimdVariants() {
                         kernels::neon::AddRow, kernels::neon::DotRow,
                         kernels::neon::Rank1Update,
                         kernels::neon::SymRank1Update,
-                        kernels::neon::SparseRowGemv, kernels::neon::RowGemm,
+                        kernels::neon::BlockSymRankUpdate,
+                        kernels::neon::SparseRowGemv,
+                        kernels::neon::SparseRowAxpy, kernels::neon::RowGemm,
                         // NEON dispatch uses the scalar LuSolveRows.
                         kernels::scalar::LuSolveRows, kernels::neon::BlockGemm,
                         kernels::neon::BlockRankUpdate});
@@ -660,6 +671,164 @@ TEST(BlockKernelsTest, BlockRankUpdateMatchesAxpyRowPerEntryBitForBit) {
       }
       EXPECT_TRUE(BytesEqual(block, per_row))
           << "BlockRankUpdate vs AxpyRow per entry " << ShapeName(v, s);
+    }
+  }
+}
+
+// x rows for the XtX block: zero-free rows (the AVX2 twin's register
+// tiles) with, in every third row from row 0 on, exact +0.0 / -0.0
+// entries (rows the per-row kernel partly skips; row 0 meets the -0.0
+// accumulators before any product has changed them). `stride` > d leaves
+// a gap between rows, and the buffer ends at the last row's d-th value,
+// so a read past a row end is caught under AddressSanitizer.
+std::vector<double> XtXBlockRows(size_t rows, size_t d, size_t stride,
+                                 Rng* rng) {
+  std::vector<double> x(rows == 0 ? 0 : (rows - 1) * stride + d, 7.0);
+  for (size_t r = 0; r < rows; ++r) {
+    for (size_t a = 0; a < d; ++a) {
+      const double u = rng->NextDouble();
+      double v = 0.5 + rng->NextDouble();
+      if (rng->NextDouble() < 0.5) v = -v;
+      if (r % 3 == 0 && u < 0.3) v = u < 0.15 ? 0.0 : -0.0;
+      x[r * stride + a] = v;
+    }
+  }
+  return x;
+}
+
+TEST(BlockKernelsTest, BlockSymRankUpdateMatchesPerRowBitForBit) {
+  std::vector<size_t> dims;
+  for (size_t d = 1; d <= 9; ++d) dims.push_back(d);
+  for (const size_t d : {15u, 16u, 17u, 49u, 50u, 51u, 100u, 101u}) {
+    dims.push_back(d);
+  }
+  for (const auto& v : AllRunnableVariants()) {
+    Rng rng(303);
+    for (const size_t d : dims) {
+      for (const size_t rows : {0u, 1u, 2u, 31u, 32u, 33u}) {
+        const size_t x_stride = d + 3;
+        const size_t stride = d + 2;
+        const auto x = XtXBlockRows(rows, d, x_stride, &rng);
+        // Upper triangle from signed zeros and Gaussians (an accumulator
+        // at -0.0 is where a skipped update and an added +0.0 differ);
+        // the lower triangle and the row gaps must stay untouched.
+        std::vector<double> out0(d * stride, 3.0);
+        const auto init = SignedZeroValues(d * d, &rng);
+        for (size_t a = 0; a < d; ++a) {
+          for (size_t b = a; b < d; ++b) out0[a * stride + b] = init[a * d + b];
+        }
+        auto block = out0;
+        auto per_row = out0;
+        v.block_sym_rank_update(x.data(), x_stride, rows, d, block.data(),
+                                stride);
+        for (size_t r = 0; r < rows; ++r) {
+          v.sym_rank1_update(x.data() + r * x_stride, d, per_row.data(),
+                             stride);
+        }
+        EXPECT_TRUE(BytesEqual(block, per_row))
+            << "BlockSymRankUpdate vs SymRank1Update per row "
+            << kernels::IsaName(v.isa) << " rows=" << rows << " d=" << d;
+      }
+    }
+  }
+}
+
+TEST(BlockKernelsTest, SparseRowAxpyMatchesAxpyRowPerEntryBitForBit) {
+  constexpr size_t kDim = 64;
+  for (const auto& v : AllRunnableVariants()) {
+    Rng rng(304);
+    for (const size_t d :
+         {1u, 2u, 3u, 4u, 5u, 7u, 8u, 22u, 49u, 50u, 51u, 100u, 101u}) {
+      for (const size_t nnz : {0u, 1u, 2u, 7u, 40u}) {
+        auto b = SignedZeroValues(kDim * d, &rng);
+        b.insert(b.end(), 4, 0.0);  // tail-padding contract
+        std::vector<SparseEntry> entries;
+        for (size_t e = 0; e < nnz; ++e) {
+          const double u = rng.NextDouble();
+          entries.push_back(
+              {static_cast<uint32_t>(rng.NextUint64Below(kDim)),
+               u < 0.1 ? -0.0 : u < 0.2 ? 0.0 : rng.NextGaussian()});
+        }
+        const auto out0 = SignedZeroValues(d, &rng);
+        auto fused = out0;
+        auto per_entry = out0;
+        v.sparse_row_axpy(entries.data(), nnz, b.data(), d, d, fused.data());
+        for (const SparseEntry& e : entries) {
+          v.axpy_row(e.value, b.data() + e.index * d, d, per_entry.data());
+        }
+        EXPECT_TRUE(BytesEqual(fused, per_entry))
+            << "SparseRowAxpy vs AxpyRow per entry "
+            << kernels::IsaName(v.isa) << " nnz=" << nnz << " d=" << d;
+      }
+    }
+  }
+}
+
+// Sparse DistMatrix row blocks (dispatched kernels): RowsTimesMatrix in
+// both orders against the per-row RowTimesMatrix (SparseRowGemv) and
+// per-entry AxpyRow, and AddRowsOuterProduct against per-entry AxpyRow.
+// Rows 0, 5 and 6 are empty; d covers 1-3 column tails.
+TEST(BlockKernelsTest, SparseRowBlocksMatchPerRowCallsBitForBit) {
+  constexpr size_t kRows = 40;
+  constexpr size_t kDim = 90;
+  Rng rng(305);
+  SparseMatrix sparse(kRows, kDim);
+  for (size_t i = 0; i < kRows; ++i) {
+    std::vector<SparseEntry> row;
+    if (i != 0 && i != 5 && i != 6) {
+      for (uint32_t k = 0; k < kDim; ++k) {
+        if (rng.NextDouble() < 0.08) row.push_back({k, rng.NextGaussian()});
+      }
+    }
+    sparse.AppendRow(i, row);
+  }
+  const auto y = dist::DistMatrix::FromSparse(std::move(sparse), 3);
+  for (const size_t d : {1u, 2u, 3u, 5u, 6u, 7u, 50u, 51u}) {
+    const DenseMatrix b = DenseMatrix::GaussianRandom(kDim, d, &rng);
+    for (const auto& [begin, end] : {std::pair<size_t, size_t>{0, 32},
+                                    {3, 9},
+                                    {32, 40},
+                                    {7, 7}}) {
+      const size_t rows = end - begin;
+      DenseMatrix gemv(rows + 1, d);
+      DenseMatrix axpy(rows + 1, d);
+      y.RowsTimesMatrix(begin, end, b, kernels::GemmOrder::kRowGemm, &gemv,
+                        1);
+      y.RowsTimesMatrix(begin, end, b, kernels::GemmOrder::kAxpyRow, &axpy,
+                        1);
+      DenseMatrix x(rows, d);
+      for (size_t i = begin; i < end; ++i) {
+        DenseVector ref(d);
+        y.RowTimesMatrix(i, b, &ref);
+        EXPECT_EQ(std::memcmp(gemv.RowPtr(1 + i - begin), ref.data(),
+                              d * sizeof(double)),
+                  0)
+            << "kRowGemm row " << i << " d=" << d;
+        ref.SetZero();
+        for (const auto& e : y.sparse().Row(i)) {
+          kernels::AxpyRow(e.value, b.RowPtr(e.index), d, ref.data());
+        }
+        EXPECT_EQ(std::memcmp(axpy.RowPtr(1 + i - begin), ref.data(),
+                              d * sizeof(double)),
+                  0)
+            << "kAxpyRow row " << i << " d=" << d;
+        std::memcpy(x.RowPtr(i - begin), ref.data(), d * sizeof(double));
+      }
+
+      DenseMatrix block = DenseMatrix::GaussianRandom(kDim, d, &rng);
+      DenseMatrix per_entry = block;
+      if (rows > 0) y.AddRowsOuterProduct(begin, end, x, &block);
+      for (size_t i = begin; i < end; ++i) {
+        for (const auto& e : y.sparse().Row(i)) {
+          kernels::AxpyRow(e.value, x.RowPtr(i - begin), d,
+                           per_entry.RowPtr(e.index));
+        }
+      }
+      EXPECT_EQ(std::memcmp(block.data(), per_entry.data(),
+                            block.size() * sizeof(double)),
+                0)
+          << "AddRowsOuterProduct rows [" << begin << ", " << end
+          << ") d=" << d;
     }
   }
 }
