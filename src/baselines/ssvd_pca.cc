@@ -199,9 +199,9 @@ StatusOr<SsvdResult> SsvdPca::Fit(const DistMatrix& y) const {
     result.ideal_error =
         options_.ideal_error_override > 0.0
             ? options_.ideal_error_override
-            : core::ConvergedIdealError(engine_->spec(), y, d, sample,
-                                        options_.ideal_fit_iterations,
-                                        options_.seed);
+            : core::SubspaceIdealError(engine_->spec(), y, d, sample,
+                                       options_.ideal_fit_iterations,
+                                       options_.seed, engine_->registry());
   }
 
   // Random projection (the driver broadcasts Omega inside TimesJob).

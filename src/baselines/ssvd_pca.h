@@ -31,8 +31,9 @@ struct SsvdOptions {
 
   /// Ideal-accuracy anchor shared across algorithms (see
   /// core::SpcaOptions::ideal_error_override); 0 = compute automatically
-  /// via a hidden converged PPCA fit.
+  /// by core::SubspaceIdealError.
   double ideal_error_override = 0.0;
+  /// Cap on the automatic anchor's subspace-iteration rounds.
   int ideal_fit_iterations = 15;
 };
 

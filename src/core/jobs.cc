@@ -289,12 +289,14 @@ YtXPartial RunYtXPartition(const DistMatrix& y, const RowRange& range,
   return partial;
 }
 
-}  // namespace
-
-YtXResult YtXJob(Engine* engine, const DistMatrix& y, const DenseVector& ym,
+/// YtXJob's body: YtX (and, when with_xtx, XtX) from one RunMap job
+/// named `job` (two, "XtXJob" and "YtXJob(split)", for an unconsolidated
+/// YtXJob), merged on the driver.
+YtXResult RunYtX(Engine* engine, const DistMatrix& y, const DenseVector& ym,
                  const DenseVector& xm, const DenseMatrix& cm,
                  const DenseMatrix* materialized_x, const JobToggles& toggles,
-                 YtXWorkspace* workspace) {
+                 YtXWorkspace* workspace, bool with_xtx,
+                 const dist::JobDesc& job) {
   SPCA_CHECK_EQ(cm.rows(), y.cols());
   const size_t d = cm.cols();
   const size_t dim = y.cols();
@@ -307,9 +309,9 @@ YtXResult YtXJob(Engine* engine, const DistMatrix& y, const DenseVector& ym,
   // multiplication of Section 3.3).
   engine->Broadcast(cm.ByteSize() + (ym.size() + xm.size()) * sizeof(double));
 
-  auto run = [&](const dist::JobDesc& job, bool want_xtx, bool want_ytx) {
+  auto run = [&](const dist::JobDesc& desc, bool want_xtx, bool want_ytx) {
     return engine->RunMap<YtXPartial>(
-        job, y, [&](const RowRange& range, TaskContext* ctx) {
+        desc, y, [&](const RowRange& range, TaskContext* ctx) {
           DenseMatrix* ytx = nullptr;
           if (want_ytx) {
             // This partition's partial, zeroed by every attempt. A task's
@@ -341,9 +343,8 @@ YtXResult YtXJob(Engine* engine, const DistMatrix& y, const DenseVector& ym,
 
   std::vector<YtXPartial> xtx_partials;
   std::vector<YtXPartial> xc_partials;
-  if (toggles.consolidate_jobs) {
-    xc_partials = run(dist::JobDesc{"YtXJob", "em_iteration"},
-                      /*want_xtx=*/true, /*want_ytx=*/true);
+  if (!with_xtx || toggles.consolidate_jobs) {
+    xc_partials = run(job, with_xtx, /*want_ytx=*/true);
   } else {
     // Unconsolidated: XtX and YtX as two distributed jobs, each generating
     // (or re-reading) X independently (Figure 2 before consolidation).
@@ -354,12 +355,15 @@ YtXResult YtXJob(Engine* engine, const DistMatrix& y, const DenseVector& ym,
   }
 
   YtXResult result;
-  result.xtx = DenseMatrix(d, d);
   result.ytx = DenseMatrix(dim, d);
-  DenseVector xc_sum(d);
-  for (const auto& p : toggles.consolidate_jobs ? xc_partials : xtx_partials) {
-    result.xtx.Add(p.xtx);
+  if (with_xtx) {
+    result.xtx = DenseMatrix(d, d);
+    for (const auto& p :
+         toggles.consolidate_jobs ? xc_partials : xtx_partials) {
+      result.xtx.Add(p.xtx);
+    }
   }
+  DenseVector xc_sum(d);
   for (const auto& p : xc_partials) xc_sum.Add(p.xc_sum);
   // YtX = sum_i Y_i' (x) Xc_i  -  Ym (x) sum_i Xc_i  (mean propagation).
   // The D x d merge runs in row blocks on the pool: each block adds the
@@ -389,8 +393,27 @@ YtXResult YtXJob(Engine* engine, const DistMatrix& y, const DenseVector& ym,
         }
       });
   if (toggles.mean_propagation) engine->CountDriverFlops(2ull * dim * d);
-  engine->CountDriverFlops(ytx_partials.size() * (dim * d + d * d));
+  engine->CountDriverFlops(ytx_partials.size() *
+                           (dim * d + (with_xtx ? d * d : 0)));
   return result;
+}
+
+}  // namespace
+
+YtXResult YtXJob(Engine* engine, const DistMatrix& y, const DenseVector& ym,
+                 const DenseVector& xm, const DenseMatrix& cm,
+                 const DenseMatrix* materialized_x, const JobToggles& toggles,
+                 YtXWorkspace* workspace) {
+  return RunYtX(engine, y, ym, xm, cm, materialized_x, toggles, workspace,
+                /*with_xtx=*/true, dist::JobDesc{"YtXJob", "em_iteration"});
+}
+
+DenseMatrix SketchJob(Engine* engine, const DistMatrix& y,
+                      const DenseVector& ym, const DenseVector& zm,
+                      const DenseMatrix& z, YtXWorkspace* workspace) {
+  return RunYtX(engine, y, ym, zm, z, nullptr, JobToggles{}, workspace,
+                /*with_xtx=*/false, dist::JobDesc{"sketchJob", "anchor"})
+      .ytx;
 }
 
 double Ss3Job(Engine* engine, const DistMatrix& y, const DenseVector& ym,

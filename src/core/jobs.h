@@ -78,6 +78,17 @@ YtXResult YtXJob(dist::Engine* engine, const dist::DistMatrix& y,
                  const linalg::DenseMatrix* materialized_x,
                  const JobToggles& toggles, YtXWorkspace* workspace = nullptr);
 
+/// The sketch pass W = Yc' * (Yc * Z) of a subspace (power) iteration:
+/// YtXJob's partition core (want_xtx = false: no XtX half), workspace and
+/// pooled merge with Z in place of CM, under the default JobToggles. `zm`
+/// is Ym' * Z. Bit-identical to YtXJob's `ytx` for the same inputs. One
+/// "sketchJob" per call.
+linalg::DenseMatrix SketchJob(dist::Engine* engine, const dist::DistMatrix& y,
+                              const linalg::DenseVector& ym,
+                              const linalg::DenseVector& zm,
+                              const linalg::DenseMatrix& z,
+                              YtXWorkspace* workspace = nullptr);
+
 /// The paper's ss3Job (Algorithm 4 line 13): ss3 = sum_n X_n * C' * Yc_n'.
 /// With ss3_associativity, each term is computed as X_n * (C' * Yc_n')
 /// (Equation 3's efficient order); otherwise as (X_n * C') * Yc_n'.

@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/check.h"
 #include "common/rng.h"
+#include "core/driver_algebra.h"
+#include "core/jobs.h"
 #include "core/spca.h"
-#include "dist/engine.h"
 #include "linalg/ops.h"
 #include "linalg/qr.h"
 #include "linalg/svd.h"
@@ -160,6 +162,83 @@ double ConvergedIdealError(const dist::ClusterSpec& spec,
   SPCA_CHECK_MSG(fit.ok(), "converged ideal-error fit failed");
   return SampledReconstructionError(sample, fit.value().model.components,
                                     fit.value().model.mean);
+}
+
+namespace {
+
+/// Z = orth(W): CholeskyQR2 on the engine's pool, MGS when W is too
+/// ill-conditioned for it (rank-deficient input, or k > N - 1).
+DenseMatrix OrthonormalizeSketch(dist::Engine* engine, DenseMatrix w) {
+  if (DriverCholeskyQr2(engine, &w)) return w;
+  const size_t dim = w.rows();
+  const size_t k = w.cols();
+  engine->CountDriverFlops(4ull * dim * k * k);
+  return linalg::OrthonormalizeColumns(w);
+}
+
+}  // namespace
+
+SubspaceAnchor SubspaceIdealFit(dist::Engine* engine, const dist::DistMatrix& y,
+                                size_t d, const dist::DistMatrix& sample,
+                                int max_rounds, uint64_t seed) {
+  const size_t dim = y.cols();
+  SPCA_CHECK_GT(d, 0u);
+  SPCA_CHECK_LE(d, dim);
+  SubspaceAnchor anchor;
+  const size_t k = std::min(d + kAnchorOversample, dim);
+  anchor.sketch_dim = k;
+
+  const DenseVector mean = MeanJob(engine, y);
+  Rng rng(seed);
+  DenseMatrix z =
+      OrthonormalizeSketch(engine, DenseMatrix::GaussianRandom(dim, k, &rng));
+  // The D x k partials, allocated by the first pass and reused after.
+  YtXWorkspace workspace;
+  DenseVector previous(d);
+  DenseMatrix top;
+  for (int round = 1;; ++round) {
+    anchor.rounds = round;
+    DenseMatrix w =
+        SketchJob(engine, y, mean, MeanProjection(mean, z), z, &workspace);
+    auto ritz = RayleighRitz(z, w, d);
+    SPCA_CHECK_MSG(ritz.ok(), "anchor Rayleigh-Ritz eigensolve failed");
+    engine->CountDriverFlops(2ull * dim * k * (k + 1) + 9ull * k * k * k);
+    const DenseVector& values = ritz.value().values;
+    bool settled = round > 1;
+    for (size_t j = 0; j < d; ++j) {
+      settled = settled && std::fabs(values[j] - previous[j]) <=
+                               kAnchorRitzTolerance * std::fabs(values[j]);
+      previous[j] = values[j];
+    }
+    if (settled || round >= max_rounds) {
+      top = std::move(ritz.value().top);
+      break;
+    }
+    z = OrthonormalizeSketch(engine, std::move(w));
+  }
+
+  DenseMatrix components(dim, d);
+  engine->DriverForRowBlocks(
+      dim, engine->DriverParts(uint64_t{dim} * k * d),
+      [&](size_t begin, size_t end) {
+        linalg::MultiplyRows(z, top, begin, end, &components);
+      });
+  anchor.ideal_error = SampledReconstructionError(sample, components, mean);
+  return anchor;
+}
+
+double SubspaceIdealError(const dist::ClusterSpec& spec,
+                          const dist::DistMatrix& y, size_t d,
+                          const dist::DistMatrix& sample, int max_rounds,
+                          uint64_t seed, obs::Registry* registry) {
+  obs::Span span(registry, "spca.anchor", "algorithm");
+  dist::Engine shadow(spec, dist::EngineMode::kSpark);
+  const SubspaceAnchor anchor =
+      SubspaceIdealFit(&shadow, y, d, sample, max_rounds, seed);
+  span.SetAttribute("rounds", static_cast<uint64_t>(anchor.rounds));
+  span.SetAttribute("sketch_dim", static_cast<uint64_t>(anchor.sketch_dim));
+  span.SetAttribute("ideal_error", anchor.ideal_error);
+  return anchor.ideal_error;
 }
 
 double AccuracyPercent(double error, double ideal_error) {

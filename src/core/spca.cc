@@ -10,6 +10,7 @@
 
 #include "common/rng.h"
 #include "common/stopwatch.h"
+#include "core/driver_algebra.h"
 #include "core/jobs.h"
 #include "core/reconstruction_error.h"
 #include "linalg/ops.h"
@@ -59,18 +60,6 @@ uint64_t ThresholdLoadings(DenseMatrix* c, double threshold) {
     }
   }
   return nnz;
-}
-
-/// C'C with the triangle's output rows split across the engine's pool.
-DenseMatrix DriverGram(dist::Engine* engine, const DenseMatrix& c,
-                       size_t parts) {
-  DenseMatrix ctc(c.cols(), c.cols());
-  const std::vector<size_t> blocks = linalg::GramRowBlocks(c.cols(), parts);
-  engine->DriverParallelFor(parts, [&](size_t p) {
-    linalg::GramRows(c, blocks[p], blocks[p + 1], &ctc);
-  });
-  linalg::MirrorUpper(&ctc);
-  return ctc;
 }
 
 }  // namespace
@@ -247,9 +236,9 @@ StatusOr<SolveResult> Spca::RunEm(
     result.ideal_error =
         options_.ideal_error_override > 0.0
             ? options_.ideal_error_override
-            : ConvergedIdealError(engine_->spec(), y, d, sample,
-                                  options_.ideal_fit_iterations,
-                                  options_.seed);
+            : SubspaceIdealError(engine_->spec(), y, d, sample,
+                                 options_.ideal_fit_iterations, options_.seed,
+                                 registry);
   }
 
   DenseMatrix& c = result.model.components;

@@ -66,13 +66,14 @@ struct SpcaOptions {
   /// evaluation per iteration on the sampled rows).
   bool compute_accuracy_trace = true;
 
-  /// Ideal-accuracy anchor (Section 5): the error of a long, converged run
-  /// against which per-iteration accuracy percentages are reported. When
-  /// 0, the anchor is computed automatically by a hidden converged fit on
-  /// a throwaway engine; benchmarks comparing several algorithms on one
-  /// dataset compute it once and pass it here.
+  /// Ideal-accuracy anchor (Section 5): the error of the converged top-d
+  /// subspace, against which per-iteration accuracy percentages are
+  /// reported. When 0, the anchor is computed automatically by
+  /// core::SubspaceIdealError on a throwaway engine; benchmarks comparing
+  /// several algorithms on one dataset compute it once and pass it here.
   double ideal_error_override = 0.0;
-  /// Iterations of the hidden converged fit used for the anchor.
+  /// Cap on the automatic anchor's subspace-iteration rounds (one sketch
+  /// pass each); it usually stops earlier, on kAnchorRitzTolerance.
   int ideal_fit_iterations = 15;
 
   // ---- Sparse loadings (the "spca_sparse" preset) ----------------------

@@ -1,5 +1,7 @@
 #include "linalg/ops.h"
 
+#include <algorithm>
+
 #include "linalg/kernels.h"
 
 namespace spca::linalg {
@@ -39,16 +41,21 @@ void GramRows(const DenseMatrix& a, size_t begin, size_t end,
   SPCA_CHECK(out->rows() == d && out->cols() == d);
   SPCA_CHECK(begin <= end && end <= d);
   if (begin == end) return;
-  // Per row of A: the diagonal block of the triangle as a symmetric rank-1
-  // update, and the rectangle right of it (columns >= end) as a plain one.
-  // Either way out(p, q) += a(r, p) * a(r, q) over rows r in order.
+  // Per block of 32 rows of A: the diagonal block of the triangle as a
+  // symmetric rank update, and the rectangle right of it (columns >= end)
+  // as a plain one. Either way out(p, q) += a(r, p) * a(r, q) over rows r
+  // in order, one chain per element, as per-row SymRank1Update and
+  // Rank1Update calls would add it (Rank1Update's zero skip adds nothing
+  // to an accumulator that starts at +0 and so is never -0).
+  constexpr size_t kRowBlock = 32;
   double* block = out->RowPtr(begin) + begin;
-  for (size_t r = 0; r < a.rows(); ++r) {
-    const double* row = a.RowPtr(r);
-    kernels::SymRank1Update(row + begin, end - begin, block, d);
+  for (size_t r0 = 0; r0 < a.rows(); r0 += kRowBlock) {
+    const size_t rows = std::min(kRowBlock, a.rows() - r0);
+    const double* x = a.RowPtr(r0);
+    kernels::BlockSymRankUpdate(x + begin, d, rows, end - begin, block, d);
     if (end < d) {
-      kernels::Rank1Update(row + begin, end - begin, row + end, d - end,
-                           block + (end - begin), d);
+      kernels::BlockRankUpdate(x + begin, d, rows, end - begin, x + end, d,
+                               d - end, block + (end - begin), d);
     }
   }
 }

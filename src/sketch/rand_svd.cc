@@ -6,9 +6,9 @@
 
 #include "common/rng.h"
 #include "common/stopwatch.h"
+#include "core/driver_algebra.h"
 #include "core/jobs.h"
 #include "core/reconstruction_error.h"
-#include "linalg/eigen_sym.h"
 #include "linalg/ops.h"
 #include "linalg/qr.h"
 
@@ -125,9 +125,9 @@ StatusOr<core::SolveResult> RandSvdPca::Solve(
     result.ideal_error =
         options_.ideal_error_override > 0.0
             ? options_.ideal_error_override
-            : core::ConvergedIdealError(engine_->spec(), y, d, sample,
-                                        options_.ideal_fit_iterations,
-                                        options_.seed);
+            : core::SubspaceIdealError(engine_->spec(), y, d, sample,
+                                       options_.ideal_fit_iterations,
+                                       options_.seed, registry);
   }
 
   // Round-1 basis: orth(Omega) on a cold start, the checkpointed Z on a
@@ -152,12 +152,7 @@ StatusOr<core::SolveResult> RandSvdPca::Solve(
     // into a local D x k accumulator, so only (D*k + k) doubles per task
     // ever ship — never the N x k projection Mahout's ssvd materializes.
     engine_->Broadcast(z.ByteSize() + ym.size() * sizeof(double));
-    DenseVector mean_proj(k);  // Ym' * Z, computed on the driver
-    for (size_t r = 0; r < dim; ++r) {
-      const double m = ym[r];
-      if (m == 0.0) continue;
-      for (size_t j = 0; j < k; ++j) mean_proj[j] += m * z(r, j);
-    }
+    const DenseVector mean_proj = core::MeanProjection(ym, z);  // Ym' * Z
     engine_->CountDriverFlops(2ull * dim * k);
 
     const char* phase = round == 1 ? "projection" : "power_iteration";
@@ -197,28 +192,17 @@ StatusOr<core::SolveResult> RandSvdPca::Solve(
     engine_->CountDriverFlops(partials.size() * (dim * k + k) +
                               2ull * dim * k);
 
-    // Rayleigh-Ritz on the k-dimensional subspace: T = Z'W = Z'Yc'YcZ is
-    // symmetric up to roundoff; its top-d eigenpairs give the components
-    // and the captured variance.
-    DenseMatrix t = linalg::TransposeMultiply(z, w);
-    for (size_t a = 0; a < k; ++a) {
-      for (size_t b = a + 1; b < k; ++b) {
-        const double s = 0.5 * (t(a, b) + t(b, a));
-        t(a, b) = s;
-        t(b, a) = s;
-      }
-    }
-    auto eigen = linalg::SymmetricEigen(t);
-    if (!eigen.ok()) return eigen.status();
+    // Rayleigh-Ritz on the k-dimensional subspace: the top-d eigenpairs of
+    // T = Z'W = Z'Yc'YcZ give the components and the captured variance.
+    auto ritz = core::RayleighRitz(z, w, d);
+    if (!ritz.ok()) return ritz.status();
     engine_->CountDriverFlops(2ull * dim * k * k + 9ull * k * k * k);
 
-    DenseMatrix v_top(k, d);
     double captured = 0.0;
     for (size_t j = 0; j < d; ++j) {
-      captured += std::max(0.0, eigen.value().values[j]);
-      for (size_t a = 0; a < k; ++a) v_top(a, j) = eigen.value().vectors(a, j);
+      captured += std::max(0.0, ritz.value().values[j]);
     }
-    result.model.components = linalg::Multiply(z, v_top);
+    result.model.components = linalg::Multiply(z, ritz.value().top);
     result.model.noise_variance =
         dim > d ? std::max((ss1 - captured) / (static_cast<double>(n) *
                                                static_cast<double>(dim - d)),

@@ -35,10 +35,10 @@ struct RandSvdOptions {
   size_t error_sample_rows = 1000;
   /// Record an accuracy trace point per round.
   bool compute_accuracy_trace = true;
-  /// When > 0, skip the converged-ideal-error fit and use this anchor
-  /// (benchmarks share one anchor across solvers).
+  /// When > 0, skip the automatic anchor (core::SubspaceIdealError) and
+  /// use this one (benchmarks share one anchor across solvers).
   double ideal_error_override = 0.0;
-  /// EM iterations for the ideal-error anchor fit.
+  /// Cap on the automatic anchor's subspace-iteration rounds.
   int ideal_fit_iterations = 15;
 };
 

@@ -195,7 +195,8 @@ Status MiniBatchEmSolver::Step(const DistMatrix& batch) {
   engine_->CountDriverFlops(2ull * (dim_ * d + d * d));
 
   // M-step on the blended statistics, materialized at the current batch's
-  // scale so rho = 1 reproduces one batch EM iteration exactly.
+  // scale so rho = 1 reproduces one batch EM iteration up to the roundoff
+  // of the divide-by-b and multiply-back (see the class comment).
   DenseMatrix xtx_hat(d, d);
   xtx_hat.AddScaled(b, s_xtx_);
   xtx_hat.AddScaled(ss_, m_inverse.value());

@@ -49,7 +49,10 @@ struct StreamSolverOptions {
 /// current batch (through the same distributed jobs — and hence the same
 /// cost accounting and replayable traces — as the batch solver), blended
 /// into the running statistics before the M-step. With decay = 0 and a
-/// single Step over all rows this is one batch EM iteration.
+/// single Step over all rows this is one batch EM iteration up to
+/// roundoff, not bit for bit: the statistics are divided by the batch size
+/// and multiplied back, so C differs from Spca's in the last bits (max
+/// relative error 8e-14 on 2000 x 300 Tweets, 2.3e-11 on Diabetes, d = 6).
 class MiniBatchEmSolver : public core::Solver {
  public:
   /// `engine` must outlive this object.

@@ -36,8 +36,10 @@ namespace {
 using linalg::DenseMatrix;
 
 bool BitEqual(const DenseMatrix& a, const DenseMatrix& b) {
+  // memcmp must not see the null data() of an empty matrix.
   return a.rows() == b.rows() && a.cols() == b.cols() &&
-         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+         (a.size() == 0 ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
 }
 
 /// Random matrix with roughly `zero_fraction` exact zeros.
